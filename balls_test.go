@@ -24,6 +24,29 @@ func TestNewSystemValidation(t *testing.T) {
 	}
 }
 
+// TestNewSystemRejectsBadInputs checks that every invalid input yields
+// an error and no System.
+func TestNewSystemRejectsBadInputs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		caps []int64
+		opts []Option
+	}{
+		{"empty capacities", nil, nil},
+		{"zero capacity", []int64{0}, nil},
+		{"impossible distribution", []int64{1, 2}, []Option{WithDistribution(TopOnlySelection(99))}},
+		{"bad protocol", []int64{1, 2}, []Option{WithProtocol(Greedy(0))}},
+	} {
+		sys, err := NewSystem(tc.caps, tc.opts...)
+		if err == nil || err.Error() == "" {
+			t.Errorf("%s: err = %v, want a non-empty error", tc.name, err)
+		}
+		if sys != nil {
+			t.Errorf("%s: got a System alongside the error", tc.name)
+		}
+	}
+}
+
 func TestSystemBasics(t *testing.T) {
 	sys, err := NewSystem(CapacitiesTwoClass(2, 1, 2, 4), WithSeed(3))
 	if err != nil {
@@ -93,6 +116,63 @@ func TestSystemResetReproduces(t *testing.T) {
 	for i := range first {
 		if first[i] != second[i] {
 			t.Fatal("Reset run did not reproduce the first run")
+		}
+	}
+}
+
+// TestSystemPlaceAndReset replays a heterogeneous run that mixes single
+// Place calls with a batch, across a Reset.
+func TestSystemPlaceAndReset(t *testing.T) {
+	sys, err := NewSystem([]int64{1, 1, 4}, WithSeed(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() []float64 {
+		sys.Place()
+		sys.PlaceN(11)
+		if sys.TotalBalls() != 12 {
+			t.Fatalf("TotalBalls = %d, want 12", sys.TotalBalls())
+		}
+		return sys.Loads()
+	}
+	first := run()
+	sys.Reset()
+	if sys.TotalBalls() != 0 {
+		t.Fatal("Reset did not clear balls")
+	}
+	second := run()
+	for i := range first {
+		if first[i] != second[i] {
+			t.Fatal("Reset replay diverged")
+		}
+	}
+}
+
+// TestSystemDefaults checks that a System built without options names
+// the default protocol and distribution and places exactly as one built
+// with them spelled out.
+func TestSystemDefaults(t *testing.T) {
+	caps := []int64{1, 2, 3}
+	def, err := NewSystem(caps, WithSeed(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if def.ProtocolName() != "greedy(d=2)" {
+		t.Fatalf("default protocol %q", def.ProtocolName())
+	}
+	if def.DistributionName() != "proportional" {
+		t.Fatalf("default distribution %q", def.DistributionName())
+	}
+	explicit, err := NewSystem(caps, WithSeed(5),
+		WithProtocol(Greedy(2)), WithDistribution(Proportional()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	def.PlaceN(60)
+	explicit.PlaceN(60)
+	for i := range caps {
+		if def.BallCount(i) != explicit.BallCount(i) {
+			t.Fatalf("bin %d: default %d balls, explicit %d", i, def.BallCount(i), explicit.BallCount(i))
 		}
 	}
 }

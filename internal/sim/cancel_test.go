@@ -214,6 +214,56 @@ func TestRunLargeCancelCheckpointPrefix(t *testing.T) {
 	}
 }
 
+// TestRunLargeCancelBeforeFirstCut reaches CompletedCuts == 0 on
+// purpose rather than by timing luck: an already-cancelled context
+// latches synchronously, so the run stops before any cut completes.
+// With checkpoints requested the partial's rows must still be a
+// non-nil, zero-length slice — DeepEqual to the uninterrupted run's
+// empty prefix, the comparison TestRunLargeCancelCheckpointPrefix makes
+// whenever its cancellation lands before the first cut. Without
+// checkpoints the rows stay nil, as in a completed run.
+func TestRunLargeCancelBeforeFirstCut(t *testing.T) {
+	defer leakCheck(t)()
+	a := largeArray(t, 1500)
+	base := LargeConfig{Array: a, Seed: 11, Shards: 4, BallsFactor: 50, ObsOptions: ObsOptions{Checkpoints: []int64{2000, 20000}}}
+	want, err := RunLarge(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 4} {
+		for _, withCuts := range []bool{true, false} {
+			cfg := base
+			cfg.Context = ctx
+			cfg.Workers = workers
+			if !withCuts {
+				cfg.Checkpoints = nil
+			}
+			res, err := RunLarge(cfg)
+			var cerr *CancelledError
+			if !errors.As(err, &cerr) {
+				t.Fatalf("workers=%d cuts=%v: err = %v, want *CancelledError", workers, withCuts, err)
+			}
+			if cerr.CompletedCuts != 0 || !errors.Is(err, context.Canceled) {
+				t.Fatalf("workers=%d cuts=%v: provenance %+v, want 0 completed cuts with a context cause", workers, withCuts, cerr)
+			}
+			if !withCuts {
+				if res.Checkpoints != nil {
+					t.Fatalf("workers=%d: no cuts requested, partial rows %#v", workers, res.Checkpoints)
+				}
+				continue
+			}
+			if res.Checkpoints == nil || len(res.Checkpoints) != 0 {
+				t.Fatalf("workers=%d: partial rows %#v, want a non-nil empty slice", workers, res.Checkpoints)
+			}
+			if !reflect.DeepEqual(res.Checkpoints, want.Checkpoints[:0]) {
+				t.Fatalf("workers=%d: partial rows %#v differ from the empty uninterrupted prefix", workers, res.Checkpoints)
+			}
+		}
+	}
+}
+
 // TestRunLargeMonteCancelAfterRepsIsPrefix: a deterministic self-cancel
 // after k repetitions yields aggregates bit-identical to a Reps=k run,
 // across shard and worker topologies, with a resumable checkpoint and a

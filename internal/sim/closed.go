@@ -32,11 +32,8 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/bins"
-	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sampling"
 	"repro/internal/xrand"
@@ -58,128 +55,45 @@ func RunClosed(cfg Config) (*Result, error) {
 	if err := closedUnsupported(&cfg); err != nil {
 		return nil, err
 	}
-	cc := newCanceller(cfg.Context)
-	defer cc.stop()
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	nChunks := (cfg.Reps + chunkSize - 1) / chunkSize
-	if workers > nChunks {
-		workers = nChunks
-	}
-
-	checkpoints, err := obs.NormalizeCuts(cfg.Checkpoints)
-	if err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
-
-	partials := make([]chunkPartial, nChunks)
-	chunkCh := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			closedWorker(&cfg, cc, checkpoints, chunkCh, partials)
-		}()
-	}
-	for ci := 0; ci < nChunks; ci++ {
-		chunkCh <- ci
-	}
-	close(chunkCh)
-	wg.Wait()
-
-	res, completed, err := reduce(&cfg, checkpoints, partials)
-	if err != nil {
-		return nil, err
-	}
-	if completed < cfg.Reps {
-		return res, &CancelledError{Engine: engRunClosed, CompletedReps: completed, CompletedCuts: -1, CompletedRounds: -1, CompletedTicks: -1, Cause: cc.err()}
-	}
-	return res, nil
+	return runChunks(&cfg, engRunClosed, closedSetup, closedRep)
 }
 
-// closedScratch is a worker's reusable state: the classic scratch
-// buffers plus the multinomial increment vector.
-type closedScratch struct {
+// closedState is one RunClosed worker's reusable state: a fixed array
+// and multinomial router built once (nil with ArrayFn), the classic
+// scratch buffers and the multinomial increment vector.
+type closedState struct {
+	arr    *bins.Array
+	router *sampling.Multinomial
 	ws     workerScratch
 	counts []int64
 }
 
-// closedWorker mirrors worker: fixed array and router built once per
-// worker, chunks drained unconditionally so the sender never blocks.
-func closedWorker(cfg *Config, cc *canceller, checkpoints []int64, chunkCh <-chan int, partials []chunkPartial) {
-	fixedArr, fixedRouter, setupErr := closedSetup(cfg)
-	var scratch closedScratch
-	for ci := range chunkCh {
-		p := &partials[ci]
-		if setupErr != nil {
-			p.err = setupErr
-			continue
-		}
-		lo := ci * chunkSize
-		hi := lo + chunkSize
-		if hi > cfg.Reps {
-			hi = cfg.Reps
-		}
-		for rep := lo; rep < hi; rep++ {
-			if cc.cancelled() {
-				break
-			}
-			if err := closedRepGuarded(cfg, checkpoints, uint64(rep), ci, fixedArr, fixedRouter, &scratch, p); err != nil {
-				p.err = err
-				break
-			}
-			p.reps++
-		}
-	}
-}
-
-// closedSetup builds a worker's fixed array and multinomial router,
-// containing constructor panics like workerSetup does.
-func closedSetup(cfg *Config) (fixedArr *bins.Array, fixedRouter *sampling.Multinomial, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			fixedArr, fixedRouter = nil, nil
-			err = newPanicError(engRunClosed, "setup", -1, -1, r)
-		}
-	}()
+// closedSetup builds a RunClosed worker's state.
+func closedSetup(cfg *Config) (*closedState, error) {
+	w := &closedState{}
 	if cfg.ArrayFn != nil {
-		return nil, nil, nil
+		return w, nil
 	}
-	fixedArr = cfg.Array.Clone()
-	fixedArr.Reset()
-	weights, err := cfg.distribution().Weights(fixedArr)
-	if err == nil {
-		fixedRouter, err = sampling.NewMultinomial(weights)
+	w.arr = cfg.Array.Clone()
+	w.arr.Reset()
+	weights, err := cfg.distribution().Weights(w.arr)
+	if err != nil {
+		return nil, err
 	}
-	return fixedArr, fixedRouter, err
-}
-
-// closedRepGuarded wraps one repetition in the fault hook and panic
-// containment (the closed engine shares the classic chunk topology, so
-// its fault site reuses OpChunk with its own engine name).
-func closedRepGuarded(cfg *Config, checkpoints []int64, rep uint64, chunk int, fixedArr *bins.Array, fixedRouter *sampling.Multinomial, scratch *closedScratch, p *chunkPartial) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = newPanicError(engRunClosed, "chunk", int(rep), chunk, r)
-		}
-	}()
-	if fault.Enabled {
-		fault.Hit(fault.Site{Engine: engRunClosed, Op: fault.OpChunk, Rep: int(rep), Shard: -1, Block: -1})
+	if w.router, err = sampling.NewMultinomial(weights); err != nil {
+		return nil, err
 	}
-	return closedRep(cfg, checkpoints, rep, fixedArr, fixedRouter, scratch, p)
+	return w, nil
 }
 
 // closedRep materialises one repetition: one multinomial increment per
 // checkpoint segment, accumulated into the array, then the classic
 // engine's shared final fold.
-func closedRep(cfg *Config, checkpoints []int64, rep uint64, fixedArr *bins.Array, fixedRouter *sampling.Multinomial, scratch *closedScratch, p *chunkPartial) error {
+func closedRep(cfg *Config, checkpoints []int64, rep uint64, scratch *closedState, p *chunkPartial) error {
 	r := xrand.NewStream(cfg.Seed, rep)
 
-	arr := fixedArr
-	router := fixedRouter
+	arr := scratch.arr
+	router := scratch.router
 	if cfg.ArrayFn != nil {
 		var err error
 		arr, err = cfg.ArrayFn(r)

@@ -86,9 +86,8 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
+	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/bins"
 	"repro/internal/chash"
@@ -246,16 +245,7 @@ func (c *ClusterConfig) validate() (shards int, err error) {
 	if err := c.ObsOptions.rejectHeightBins("the cluster engine"); err != nil {
 		return 0, err
 	}
-	shards = c.Shards
-	if shards == 0 {
-		shards = DefaultShards
-		if shards > n {
-			shards = n
-		}
-	} else if shards < 1 || shards > n {
-		return 0, fmt.Errorf("sim: Shards = %d outside [1,%d]", c.Shards, n)
-	}
-	return shards, nil
+	return resolveShards(c.Shards, n)
 }
 
 // Cluster task kinds; the kind also names the PanicError task.
@@ -270,12 +260,7 @@ const (
 	clusterTaskObserve
 )
 
-var clusterTaskNames = [...]string{"setup", "route", "place", "redistribute", "retry", "serve", "expire", "observe"}
-
-type clusterTask struct {
-	kind int32
-	idx  int32
-}
+var clusterTaskNames = []string{"setup", "route", "place", "redistribute", "retry", "serve", "expire", "observe"}
 
 // cohort is a batch of requests sharing (dispatch tick, origin tick,
 // attempt): one FIFO queue entry per peer per batch, so per-request
@@ -298,16 +283,16 @@ type retryEntry struct {
 
 // clusterState is the engine's whole working set, allocated once.
 type clusterState struct {
+	shardedBase
 	cfg    *ClusterConfig
 	cc     *canceller
-	arr    *bins.Array
 	n      int
 	shards int
 	seed   uint64
 	kk     uint64 // RNG streams consumed per tick: shards + 2
 
+	// shardedBase.weights are the live per-peer arc weights (0 = dead).
 	ring      *chash.Ring
-	weights   []float64 // live per-peer arc weights (0 = dead)
 	prevW     []float64 // last weights the placers were built over
 	caps      []int64
 	totalCap  int64
@@ -316,11 +301,7 @@ type clusterState struct {
 	nLive     int
 	peerShard []int32
 
-	factory protocol.Factory
-	bounds  []int
-	shardW  []float64
 	sumW    float64
-	router  *sampling.Multinomial
 	views   []*bins.Array
 	placers []protocol.Placer
 	dirty   []bool
@@ -349,9 +330,8 @@ type clusterState struct {
 	trackMat [][]float64
 	maxOut   []float64
 
-	taskCh chan clusterTask
-	wg     sync.WaitGroup
-	errs   []error
+	pool phasePool
+	run  phaseRunner
 
 	// Tick-scoped fields, written by the orchestrator strictly between
 	// phase barriers.
@@ -393,26 +373,6 @@ func runCluster(cfg ClusterConfig) (*ClusterResult, error) {
 	}
 	cc := newCanceller(cfg.Context)
 	defer cc.stop()
-	arr := cfg.Array
-	if !cfg.AdoptArray {
-		arr = cfg.Array.Clone()
-	}
-	arr.Reset()
-	n := arr.N()
-
-	st := &clusterState{
-		cfg:    &cfg,
-		cc:     cc,
-		arr:    arr,
-		n:      n,
-		shards: shards,
-		seed:   cfg.Seed,
-		kk:     uint64(shards + 2),
-	}
-	st.caps = arr.Capacities()
-	st.totalCap = arr.TotalCapacity()
-	st.liveCap = st.totalCap
-
 	// Global stream 0: ring construction. The vnode positions are the
 	// only randomness membership ever consumes — churn splices cached
 	// points, so a crash/recover cycle is RNG-free.
@@ -420,26 +380,36 @@ func runCluster(cfg ClusterConfig) (*ClusterResult, error) {
 	if vpu == 0 {
 		vpu = 2
 	}
-	st.ring, err = chash.NewWeightedRing(st.caps, vpu, xrand.NewStream(cfg.Seed, 0))
+	base := newShardedBase(cfg.Array, cfg.AdoptArray, cfg.Placer, cfg.Workers)
+	arr := base.arr
+	caps := arr.Capacities()
+	ring, err := chash.NewWeightedRing(caps, vpu, xrand.NewStream(cfg.Seed, 0))
 	if err != nil {
 		return nil, fmt.Errorf("sim: RunCluster ring: %w", err)
 	}
-	st.weights = st.ring.ArcLengths()
-	st.prevW = make([]float64, n)
-	copy(st.prevW, st.weights)
-	st.live = make([]bool, n)
+	// The live per-peer arc weights are the selection weights.
+	if err := base.plan(engRunCluster, ring.ArcLengths(), shards); err != nil {
+		return nil, err
+	}
+	n := arr.N()
+	st := &clusterState{
+		shardedBase: base,
+		cfg:         &cfg,
+		cc:          cc,
+		n:           n,
+		shards:      shards,
+		seed:        cfg.Seed,
+		kk:          uint64(shards + 2),
+		ring:        ring,
+		caps:        caps,
+		totalCap:    arr.TotalCapacity(),
+		prevW:       slices.Clone(base.weights),
+		live:        make([]bool, n),
+		nLive:       n,
+	}
+	st.liveCap = st.totalCap
 	for i := range st.live {
 		st.live[i] = true
-	}
-	st.nLive = n
-
-	st.factory = cfg.Placer
-	if st.factory == nil {
-		st.factory = protocol.GreedyFactory(2)
-	}
-	st.bounds, st.shardW, st.router, err = shardPlan(st.weights, n, shards)
-	if err != nil {
-		return nil, fmt.Errorf("sim: RunCluster router: %w", err)
 	}
 	for _, w := range st.shardW {
 		st.sumW += w
@@ -451,29 +421,8 @@ func runCluster(cfg ClusterConfig) (*ClusterResult, error) {
 		}
 	}
 
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	rg := workers
-	if nb := numRouteBlocks(cfg.Arrivals); rg > nb {
-		rg = nb
-	}
-	if rg < 1 {
-		rg = 1
-	}
+	rg := base.routeWidth(cfg.Arrivals)
 	st.groups = newRouteGroups(rg, shards, 0)
-
-	lim := shards
-	if lim < rg {
-		lim = rg
-	}
-	pool := workers
-	if pool > lim {
-		pool = lim
-	}
-	st.errs = make([]error, lim)
-	st.taskCh = make(chan clusterTask)
 
 	st.counts = make([]int64, shards)
 	st.aport = make([]int64, shards)
@@ -520,34 +469,20 @@ func runCluster(cfg ClusterConfig) (*ClusterResult, error) {
 	st.trackMat = [][]float64{st.trackRow}
 	st.maxOut = make([]float64, 1)
 
-	for w := 0; w < pool; w++ {
-		go st.serve()
-	}
-	res, err := st.orchestrate(cfg.Ticks)
-	close(st.taskCh)
-	return res, err
+	st.pool.start(min(base.workers, max(shards, rg)))
+	defer st.pool.stop()
+	st.run = phaseRunner{pool: &st.pool, engine: engRunCluster, names: clusterTaskNames, tasks: st}
+	return st.orchestrate(cfg.Ticks)
 }
 
-func (st *clusterState) serve() {
-	for t := range st.taskCh {
-		st.do(t)
-	}
-}
-
-// do executes one task. Task state is indexed by (kind, idx) and every
-// task touches only its own shard's (or routing group's) peers,
-// queues and scratch, so any scheduling onto workers is bit-identical.
-func (st *clusterState) do(t clusterTask) {
-	defer st.wg.Done()
-	defer func() {
-		if r := recover(); r != nil {
-			st.errs[t.idx] = newPanicError(engRunCluster, clusterTaskNames[t.kind], st.tick, int(t.idx), r)
-		}
-	}()
-	s := int(t.idx)
-	switch t.kind {
+// do is the engine's task switch for its phase runner (pool.go). Task
+// state is indexed by (kind, shard or routing-group index) and every
+// task touches only its own shard's (or routing group's) peers, queues
+// and scratch, so any scheduling onto workers is bit-identical.
+func (st *clusterState) do(kind, s int) error {
+	switch kind {
 	case clusterTaskSetup:
-		st.setupShard(s)
+		return st.setupShard(s)
 	case clusterTaskRoute:
 		st.groups[s].reset()
 		st.groups[s].route(st.cc, engRunCluster, st.tick, st.rrbase, st.router, st.curM, s, st.rgr, nil, nil)
@@ -583,15 +518,16 @@ func (st *clusterState) do(t clusterTask) {
 	case clusterTaskObserve:
 		st.trackRow[s] = st.views[s].MaxLoad()
 	}
+	return nil
 }
 
 // setupShard (re)builds shard s's placer over the current live-peer
 // weight slice. Only shards whose weights changed since the last build
 // are dirty; a shard whose live weight vanished entirely (every peer
 // down) gets a nil placer — the router can never route a ball there.
-func (st *clusterState) setupShard(s int) {
+func (st *clusterState) setupShard(s int) (err error) {
 	if !st.dirty[s] {
-		return
+		return nil
 	}
 	st.dirty[s] = false
 	w := st.weights[st.bounds[s]:st.bounds[s+1]]
@@ -601,9 +537,10 @@ func (st *clusterState) setupShard(s int) {
 	}
 	if sum <= 0 {
 		st.placers[s] = nil
-		return
+		return nil
 	}
-	st.placers[s], st.errs[s] = st.factory(st.views[s], w)
+	st.placers[s], err = st.factory(st.views[s], w)
+	return err
 }
 
 // placeCohort places one batch on shard s and records the receiving
@@ -692,21 +629,6 @@ func (st *clusterState) expireShard(s int) {
 		}
 	}
 	st.expired[s] = exp
-}
-
-func (st *clusterState) runPhase(kind int32, count int, label string) error {
-	for i := 0; i < count; i++ {
-		st.wg.Add(1)
-		st.taskCh <- clusterTask{kind: kind, idx: int32(i)}
-	}
-	st.wg.Wait()
-	for i := 0; i < count; i++ {
-		if err := st.errs[i]; err != nil {
-			clear(st.errs[:count])
-			return fmt.Errorf("sim: RunCluster %s %d: %w", label, i, err)
-		}
-	}
-	return nil
 }
 
 // crash takes peer p off the ring. Returns false when the event does
@@ -921,7 +843,7 @@ func (st *clusterState) redistribute(crashed []int) (int64, error) {
 	if moved == 0 {
 		return 0, nil
 	}
-	if err := st.runPhase(clusterTaskRedist, st.shards, "redistribution shard"); err != nil {
+	if err := st.run.runPhase(clusterTaskRedist, st.shards, "redistribution shard"); err != nil {
 		return 0, err
 	}
 	return moved, nil
@@ -930,11 +852,11 @@ func (st *clusterState) redistribute(crashed []int) (int64, error) {
 // orchestrate runs the setup phase and then the ticks, committing the
 // completed-tick prefix as it goes.
 func (st *clusterState) orchestrate(ticks int) (*ClusterResult, error) {
-	if err := st.runPhase(clusterTaskSetup, st.shards, "setup shard"); err != nil {
+	if err := st.run.runPhase(clusterTaskSetup, st.shards, "setup shard"); err != nil {
 		return nil, err
 	}
 	if st.cc.cancelled() {
-		return st.partial()
+		return st.partial(st.cc.err())
 	}
 	for t := 0; t < ticks; t++ {
 		ok, err := st.runTick(t)
@@ -942,10 +864,10 @@ func (st *clusterState) orchestrate(ticks int) (*ClusterResult, error) {
 			return nil, err
 		}
 		if !ok {
-			return st.partial()
+			return st.partial(st.cc.err())
 		}
 		if ca := st.cfg.CancelAfterTicks; ca > 0 && st.ticksDone == ca && st.ticksDone < ticks {
-			return st.partialSelfCancel()
+			return st.partial(nil)
 		}
 	}
 	return st.final()
@@ -957,7 +879,7 @@ func (st *clusterState) runTick(t int) (ok bool, err error) {
 	if st.cc.cancelled() {
 		return false, nil
 	}
-	st.tick = t
+	st.tick, st.run.rep = t, t
 	st.tbase = 1 + uint64(t)*st.kk
 	// Placement streams are re-seeded for EVERY shard at the start of
 	// every tick, so a shard's draws depend only on (seed, tick,
@@ -980,7 +902,7 @@ func (st *clusterState) runTick(t int) (ok bool, err error) {
 		if st.cc.cancelled() {
 			return false, nil
 		}
-		if err := st.runPhase(clusterTaskSetup, st.shards, "setup shard"); err != nil {
+		if err := st.run.runPhase(clusterTaskSetup, st.shards, "setup shard"); err != nil {
 			return false, err
 		}
 		if st.cc.cancelled() {
@@ -1012,19 +934,15 @@ func (st *clusterState) runTick(t int) (ok bool, err error) {
 	if admitT > 0 {
 		st.curM = admitT
 		st.rrbase = xrand.Mix64(st.seed, st.tbase+1)
-		rgr := len(st.groups)
-		if nb := numRouteBlocks(admitT); rgr > nb {
-			rgr = nb
-		}
-		st.rgr = rgr
-		if err := st.runPhase(clusterTaskRoute, rgr, "routing group"); err != nil {
+		st.rgr = min(len(st.groups), numRouteBlocks(admitT))
+		if err := st.run.runPhase(clusterTaskRoute, st.rgr, "routing group"); err != nil {
 			return false, err
 		}
 		if st.cc.cancelled() {
 			return false, nil
 		}
-		mergeRouteGroups(st.groups[:rgr], st.counts, nil)
-		if err := st.runPhase(clusterTaskPlace, st.shards, "shard"); err != nil {
+		mergeRouteGroups(st.groups[:st.rgr], st.counts, nil)
+		if err := st.run.runPhase(clusterTaskPlace, st.shards, "shard"); err != nil {
 			return false, err
 		}
 		if st.cc.cancelled() {
@@ -1051,7 +969,7 @@ func (st *clusterState) runTick(t int) (ok bool, err error) {
 			retriedT += e.count
 		}
 		st.pendingRetry -= retriedT
-		if err := st.runPhase(clusterTaskRetry, st.shards, "retry shard"); err != nil {
+		if err := st.run.runPhase(clusterTaskRetry, st.shards, "retry shard"); err != nil {
 			return false, err
 		}
 		if st.cc.cancelled() {
@@ -1061,7 +979,7 @@ func (st *clusterState) runTick(t int) (ok bool, err error) {
 	}
 
 	// Phase 5 — service.
-	if err := st.runPhase(clusterTaskServe, st.shards, "service shard"); err != nil {
+	if err := st.run.runPhase(clusterTaskServe, st.shards, "service shard"); err != nil {
 		return false, err
 	}
 	if st.cc.cancelled() {
@@ -1078,7 +996,7 @@ func (st *clusterState) runTick(t int) (ok bool, err error) {
 	// — retries exhausted — counts failed.
 	var timedOutT, failedT int64
 	if st.cfg.Retry.TimeoutTicks > 0 {
-		if err := st.runPhase(clusterTaskExpire, st.shards, "timeout shard"); err != nil {
+		if err := st.run.runPhase(clusterTaskExpire, st.shards, "timeout shard"); err != nil {
 			return false, err
 		}
 		if st.cc.cancelled() {
@@ -1103,7 +1021,7 @@ func (st *clusterState) runTick(t int) (ok bool, err error) {
 	// Phase 7 — observation: a cut at tick t+1 snapshots queue
 	// occupancy and max queue-relative load before the commit.
 	if st.nextCut < st.nCuts && st.cuts[st.nextCut] == int64(t)+1 {
-		if err := st.runPhase(clusterTaskObserve, st.shards, "observe shard"); err != nil {
+		if err := st.run.runPhase(clusterTaskObserve, st.shards, "observe shard"); err != nil {
 			return false, err
 		}
 		if st.cc.cancelled() {
@@ -1174,28 +1092,17 @@ func (st *clusterState) partialResult() *ClusterResult {
 	return res
 }
 
-// partial is the context-cancelled exit: the committed-tick prefix
-// plus a *CancelledError carrying the context's cause.
-func (st *clusterState) partial() (*ClusterResult, error) {
+// partial is the cancelled exit: the committed-tick prefix plus a
+// *CancelledError carrying cause — the context's error, or nil for the
+// CancelAfterTicks self-cancel.
+func (st *clusterState) partial(cause error) (*ClusterResult, error) {
 	return st.partialResult(), &CancelledError{
 		Engine:          engRunCluster,
 		CompletedReps:   -1,
 		CompletedCuts:   st.nextCut,
 		CompletedRounds: -1,
 		CompletedTicks:  st.ticksDone,
-		Cause:           st.cc.err(),
-	}
-}
-
-// partialSelfCancel is the CancelAfterTicks exit: same deterministic
-// prefix, nil Cause.
-func (st *clusterState) partialSelfCancel() (*ClusterResult, error) {
-	return st.partialResult(), &CancelledError{
-		Engine:          engRunCluster,
-		CompletedReps:   -1,
-		CompletedCuts:   st.nextCut,
-		CompletedRounds: -1,
-		CompletedTicks:  st.ticksDone,
+		Cause:           cause,
 	}
 }
 
@@ -1203,25 +1110,12 @@ func (st *clusterState) partialSelfCancel() (*ClusterResult, error) {
 // the final queue-state statistics.
 func (st *clusterState) final() (*ClusterResult, error) {
 	res := st.partialResult()
-	st.arr.Recount()
-	var max float64
-	if st.cfg.HeightLevels > 0 {
-		// Queue-depth distribution through the PR 9 histogram kernel:
-		// one pass yields the exact max queue load and the
-		// queues-at-load>=k counts together.
-		h := st.arr.NewLoadHistogram()
-		if err := st.arr.HistogramInto(h); err != nil {
-			return nil, fmt.Errorf("sim: RunCluster histogram: %w", err)
-		}
-		max = h.MaxLoad()
-		hl := obs.NewHeights(st.cfg.HeightLevels)
-		if err := hl.SnapshotHist(obs.Final, h, st.cQueued); err != nil {
-			return nil, fmt.Errorf("sim: RunCluster heights: %w", err)
-		}
-		res.HeightCounts = hl.Rows()
-	} else {
-		max = st.arr.MaxLoad()
+	// HeightLevels reports the queue-depth distribution.
+	max, heights, err := finalState(engRunCluster, st.arr, st.cfg.HeightLevels, st.cQueued)
+	if err != nil {
+		return nil, err
 	}
+	res.HeightCounts = heights
 	res.MaxQueueLoad = max
 	res.AvgQueueLoad = st.arr.AverageLoad()
 	res.Array = st.arr

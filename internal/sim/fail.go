@@ -17,14 +17,14 @@
 //
 // # Panic containment
 //
-// Every pool task (classic chunk repetitions, routing groups, shard
-// placements, Monte resets/summaries/orchestrators) runs behind a
-// recover that converts a panic into a *PanicError carrying provenance
-// (engine, task kind, repetition, shard/group index). The first error
-// wins, every waiter is released (see monteAgg.abort), and no worker
-// goroutine is stranded — a panic anywhere surfaces as an ordinary
-// error from Run/RunLarge/RunLargeMonte, never as a process crash or a
-// hang.
+// Every pool task — a classic or closed-form chunk repetition in the
+// chunk driver (runChunks), a phase task of the sharded engines' phase
+// runner (pool.go), a Monte orchestrator — runs behind a recover that
+// converts a panic into a *PanicError carrying provenance (engine, task
+// kind, repetition, shard/group index). The lowest-index error of a
+// phase wins, every waiter is released (see monteAgg.abort), and no
+// worker goroutine is stranded — a panic anywhere surfaces as an
+// ordinary error from the engine, never as a process crash or a hang.
 package sim
 
 import (

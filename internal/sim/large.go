@@ -52,7 +52,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
+	"slices"
 
 	"repro/internal/bins"
 	"repro/internal/dist"
@@ -177,26 +177,151 @@ func (c *LargeConfig) validate() (shards int, err error) {
 	if err := c.ObsOptions.rejectHeightBins("the sharded engine"); err != nil {
 		return 0, err
 	}
-	n := c.Array.N()
-	shards = c.Shards
+	return resolveShards(c.Shards, c.Array.N())
+}
+
+// resolveShards applies the sharded engines' Shards rule: 0 means
+// DefaultShards clamped to the n bins, anything else must lie in
+// [1, n].
+func resolveShards(shards, n int) (int, error) {
 	if shards == 0 {
-		shards = DefaultShards
-		if shards > n {
-			shards = n
-		}
-	} else if shards < 1 || shards > n {
-		return 0, fmt.Errorf("sim: Shards = %d outside [1,%d]", c.Shards, n)
+		return min(DefaultShards, n), nil
+	}
+	if shards < 1 || shards > n {
+		return 0, fmt.Errorf("sim: Shards = %d outside [1,%d]", shards, n)
 	}
 	return shards, nil
 }
 
-// newCutsDone returns the per-shard completed-cut counters, or nil
-// when cancellation is unarmed or no cut can be reached.
-func newCutsDone(cc *canceller, nCuts, shards int) []int {
-	if cc == nil || nCuts == 0 {
+// resolveWorkers maps Workers = 0 to GOMAXPROCS.
+func resolveWorkers(workers int) int {
+	if workers <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return workers
+}
+
+// shardedBase is the set-up every sharded engine shares: the private
+// bin array, its selection weights, the placer factory, the shard plan
+// and the resolved worker count.
+type shardedBase struct {
+	arr     *bins.Array
+	weights []float64
+	factory protocol.Factory
+	bounds  []int
+	shardW  []float64
+	router  *sampling.Multinomial
+	workers int
+}
+
+// newShardedBase clones src (unless adopt) and resets it, defaults a
+// nil placer to Greedy(2) and resolves workers; plan then derives the
+// shard plan from the selection weights.
+func newShardedBase(src *bins.Array, adopt bool, placer protocol.Factory, workers int) shardedBase {
+	b := shardedBase{arr: src, factory: placer, workers: resolveWorkers(workers)}
+	if !adopt {
+		b.arr = src.Clone()
+	}
+	b.arr.Reset()
+	if b.factory == nil {
+		b.factory = protocol.GreedyFactory(2)
+	}
+	return b
+}
+
+// plan adopts the per-bin selection weights and plans the shards over
+// them.
+func (b *shardedBase) plan(eng string, weights []float64, shards int) (err error) {
+	b.weights = weights
+	if b.bounds, b.shardW, b.router, err = shardPlan(weights, b.arr.N(), shards); err != nil {
+		return fmt.Errorf("sim: %s router: %w", eng, err)
+	}
+	return nil
+}
+
+// newDistBase is the preamble of the distribution-driven engines:
+// newShardedBase, then plan over d's weights (nil =
+// dist.Proportional{}).
+func newDistBase(eng string, src *bins.Array, adopt bool, d dist.Distribution, placer protocol.Factory, shards, workers int) (shardedBase, error) {
+	b := newShardedBase(src, adopt, placer, workers)
+	if d == nil {
+		d = dist.Proportional{}
+	}
+	weights, err := d.Weights(b.arr)
+	if err != nil {
+		return b, fmt.Errorf("sim: %s weights: %w", eng, err)
+	}
+	return b, b.plan(eng, weights, shards)
+}
+
+// routeWidth is the routing fan-out for an m-ball pass: one group per
+// worker, capped at the number of routing blocks. The grouping never
+// affects the merged counts — integer sums are exact.
+func (b *shardedBase) routeWidth(m int64) int {
+	return max(1, min(b.workers, numRouteBlocks(m)))
+}
+
+// finalState recounts arr and returns its exact final max load plus,
+// when levels > 0, the bins-at-load>=k rows at the given ball count —
+// both from one histogram pass instead of a scan per observable.
+func finalState(eng string, arr *bins.Array, levels int, balls int64) (float64, []obs.HeightRow, error) {
+	arr.Recount()
+	if levels == 0 {
+		return arr.MaxLoad(), nil, nil
+	}
+	h := arr.NewLoadHistogram()
+	if err := arr.HistogramInto(h); err != nil {
+		return 0, nil, fmt.Errorf("sim: %s histogram: %w", eng, err)
+	}
+	hl := obs.NewHeights(levels)
+	if err := hl.SnapshotHist(obs.Final, h, balls); err != nil {
+		return 0, nil, fmt.Errorf("sim: %s heights: %w", eng, err)
+	}
+	return h.MaxLoad(), hl.Rows(), nil
+}
+
+// Task kinds of RunLarge's two phases.
+const (
+	largeRoute = iota
+	largePlace
+)
+
+var largeTaskNames = []string{"route", "place"}
+
+// largeRun is RunLarge's working set: everything the phase tasks read
+// or write, filled by the orchestrator strictly between the phases.
+type largeRun struct {
+	shardedBase
+	pool               phasePool
+	run                phaseRunner
+	cc                 *canceller
+	seed, rbase        uint64
+	m                  int64
+	rg                 int
+	groups             []routeGroup
+	cutBlocks, cutRems []int64
+	counts             []int64
+	views              []*bins.Array
+	// prefix[k][s] is shard s's block-aligned ball count at cut k;
+	// track[k][s] shard s's local running max there. Each shard writes
+	// only its own column, so any worker schedule produces the same
+	// matrices.
+	prefix [][]int64
+	track  [][]float64
+	// cutsDone[s] is how many checkpoint cuts shard s fully placed and
+	// tracked — the bookkeeping behind the cancelled partial's cut
+	// prefix. Non-nil only when cancellation is armed and a cut is
+	// reachable.
+	cutsDone []int
+}
+
+// do is RunLarge's task switch for its phase runner.
+func (l *largeRun) do(kind, idx int) error {
+	if kind == largeRoute {
+		l.groups[idx].route(l.cc, engRunLarge, 0, l.rbase, l.router, l.m, idx, l.rg, l.cutBlocks, l.cutRems)
 		return nil
 	}
-	return make([]int, shards)
+	return l.placeShard(idx)
 }
 
 // RunLarge executes one sharded single run. See the package comment of
@@ -215,164 +340,66 @@ func RunLarge(cfg LargeConfig) (*LargeResult, error) {
 	}
 	cc := newCanceller(cfg.Context)
 	defer cc.stop()
-	n := cfg.Array.N()
-	arr := cfg.Array
-	if !cfg.AdoptArray {
-		arr = cfg.Array.Clone()
-	}
-	arr.Reset()
-
-	d := cfg.Dist
-	if d == nil {
-		d = dist.Proportional{}
-	}
-	weights, err := d.Weights(arr)
+	base, err := newDistBase(engRunLarge, cfg.Array, cfg.AdoptArray, cfg.Dist, cfg.Placer, shards, cfg.Workers)
 	if err != nil {
-		return nil, fmt.Errorf("sim: RunLarge weights: %w", err)
+		return nil, err
 	}
-	factory := cfg.Placer
-	if factory == nil {
-		factory = protocol.GreedyFactory(2)
-	}
-
-	bounds, _, router, err := shardPlan(weights, n, shards)
-	if err != nil {
-		return nil, fmt.Errorf("sim: RunLarge router: %w", err)
-	}
-
+	arr := base.arr
+	n := arr.N()
 	m := (&Config{Balls: cfg.Balls, BallsFactor: cfg.BallsFactor}).ballCount(arr.TotalCapacity())
-
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
 	cuts, _ := obs.NormalizeCuts(cfg.Checkpoints) // validated above
 	nCuts := obs.CountReached(cuts, m)
-	var prefix [][]int64
+	l := &largeRun{
+		shardedBase: base,
+		cc:          cc,
+		seed:        cfg.Seed,
+		rbase:       xrand.Mix64(cfg.Seed, 0),
+		m:           m,
+		rg:          base.routeWidth(m),
+		counts:      make([]int64, shards),
+		views:       make([]*bins.Array, shards),
+	}
+	l.groups = newRouteGroups(l.rg, shards, nCuts)
+	l.cutBlocks, l.cutRems = cutPlan(cuts[:nCuts])
 	var realized []int64
 	if nCuts > 0 {
-		prefix = make([][]int64, nCuts)
+		l.prefix = make([][]int64, nCuts)
+		l.track = make([][]float64, nCuts)
 		flat := make([]int64, nCuts*shards)
-		for k := range prefix {
-			prefix[k] = flat[k*shards : (k+1)*shards]
+		for k := range l.prefix {
+			l.prefix[k] = flat[k*shards : (k+1)*shards]
 		}
 		realized = make([]int64, nCuts)
+		if cc != nil {
+			l.cutsDone = make([]int, shards)
+		}
 	}
 
-	// Routing fan-out: blocks spread across min(workers, blocks)
-	// groups and merge bit-identically regardless of the grouping.
-	counts := make([]int64, shards)
-	rg := workers
-	if nb := numRouteBlocks(m); rg > nb {
-		rg = nb
-	}
-	if rg < 1 {
-		rg = 1
-	}
-	cutBlocks, cutRems := cutPlan(cuts[:nCuts])
-	groups := newRouteGroups(rg, shards, nCuts)
-
-	// ONE worker pool serves both phases — routing-group tasks first,
-	// then per-shard placement tasks — so the pass adds no goroutines
-	// beyond the pool the placement phase always needed. Negative task
-	// ids are routing groups (-(g+1)), non-negative ids shards. All
-	// state the workers touch after phase 1 (views, track, prefix) is
-	// written by the main goroutine strictly between the phases; the
-	// channel sends order those writes before the reads.
-	pool := workers
-	lim := shards
-	if lim < rg {
-		lim = rg
-	}
-	if pool > lim {
-		pool = lim
-	}
-	// track[k][s] is shard s's local running max at cut k; each shard
-	// writes only its own column, so any worker schedule produces the
-	// same matrix. The header slice is built before the pool spawns
-	// (so the closure captures a never-reassigned variable); the rows
-	// are filled between the phases.
-	var track [][]float64
-	if nCuts > 0 {
-		track = make([][]float64, nCuts)
-	}
-	views := make([]*bins.Array, shards)
-	// One error slot per task: routing groups use [0, rg) during phase
-	// 1, shards use [0, shards) during phase 2. One slice sized for the
-	// wider phase serves both (cleared between them), so the second
-	// phase adds no allocation.
-	errs := make([]error, lim)
-	// cutsDone[s] is how many checkpoint cuts shard s fully placed and
-	// tracked — the bookkeeping behind the cancelled partial's cut
-	// prefix. Allocated only when cancellation is armed, so the normal
-	// path stays allocation-identical; the single assignment lets the
-	// pool closure capture the slice header by value instead of boxing
-	// the variable on the heap.
-	cutsDone := newCutsDone(cc, nCuts, shards)
-	rbase := xrand.Mix64(cfg.Seed, 0)
-	taskCh := make(chan int)
-	var phaseWG sync.WaitGroup
-	for w := 0; w < pool; w++ {
-		go func() {
-			for t := range taskCh {
-				// Each task runs behind its own recover so a panic in
-				// protocol or distribution code surfaces as a
-				// provenance-carrying error from RunLarge — the worker
-				// keeps draining, the phase barrier is always reached.
-				func() {
-					defer phaseWG.Done()
-					defer func() {
-						if r := recover(); r != nil {
-							if t < 0 {
-								g := -t - 1
-								errs[g] = newPanicError(engRunLarge, "route", 0, g, r)
-							} else {
-								errs[t] = newPanicError(engRunLarge, "place", 0, t, r)
-							}
-						}
-					}()
-					if t < 0 {
-						g := -t - 1
-						groups[g].route(cc, engRunLarge, 0, rbase, router, m, g, rg, cutBlocks, cutRems)
-					} else {
-						errs[t] = placeShard(cc, views[t], weights[bounds[t]:bounds[t+1]], factory, cfg.Seed, counts[t], t, prefix, track, cutsDone)
-					}
-				}()
-			}
-		}()
-	}
+	// ONE phase pool (pool.go) serves both phases — routing groups
+	// first, then per-shard placement.
+	l.pool.start(min(base.workers, max(shards, l.rg)))
+	defer l.pool.stop()
+	l.run = phaseRunner{pool: &l.pool, engine: engRunLarge, names: largeTaskNames, tasks: l}
 
 	// Phase 1 — block-wise multinomial routing on stream 0 (see
 	// route.go): only the per-shard counts exist (plus, when
 	// checkpoints are requested, the per-cut routing prefixes),
 	// because within a shard the placement order is the shard's own
 	// affair.
-	for g := 0; g < rg; g++ {
-		phaseWG.Add(1)
-		taskCh <- -(g + 1)
-	}
-	phaseWG.Wait()
-	for g := 0; g < rg; g++ {
-		if errs[g] != nil {
-			close(taskCh)
-			return nil, fmt.Errorf("sim: RunLarge routing group %d: %w", g, errs[g])
-		}
+	if err := l.run.runPhase(largeRoute, l.rg, "routing group"); err != nil {
+		return nil, err
 	}
 	if cc.cancelled() {
 		// Routing did not complete: no counts, no cuts — the partial
 		// carries only the run's identity.
-		close(taskCh)
-		return &LargeResult{N: n, Shards: shards, Balls: m},
-			&CancelledError{Engine: engRunLarge, CompletedReps: -1, CompletedCuts: 0, CompletedRounds: -1, CompletedTicks: -1, Cause: cc.err()}
+		return l.partial(cuts, realized, 0, nil)
 	}
-	clear(errs[:rg]) // slots are reused for the shard phase
-	mergeRouteGroups(groups, counts, prefix)
+	mergeRouteGroups(l.groups, l.counts, l.prefix)
 	if nCuts > 0 {
-		obs.AlignShardCuts(prefix, protocol.BlockSize, realized)
+		obs.AlignShardCuts(l.prefix, protocol.BlockSize, realized)
 		tflat := make([]float64, nCuts*shards)
-		for k := range track {
-			track[k] = tflat[k*shards : (k+1)*shards]
+		for k := range l.track {
+			l.track[k] = tflat[k*shards : (k+1)*shards]
 		}
 	}
 
@@ -384,14 +411,10 @@ func RunLarge(cfg LargeConfig) (*LargeResult, error) {
 	// zero-weight shards (e.g. under a top-only distribution) from
 	// failing the placer build.
 	for s := 0; s < shards; s++ {
-		if counts[s] == 0 {
+		if l.counts[s] == 0 {
 			continue
 		}
-		views[s], err = arr.Shard(bounds[s], bounds[s+1])
-		if err != nil {
-			// Idle workers exit on the close without touching any
-			// state — nothing to wait for.
-			close(taskCh)
+		if l.views[s], err = arr.Shard(l.bounds[s], l.bounds[s+1]); err != nil {
 			return nil, fmt.Errorf("sim: RunLarge shard %d: %w", s, err)
 		}
 	}
@@ -401,16 +424,8 @@ func RunLarge(cfg LargeConfig) (*LargeResult, error) {
 	// workers produces identical bits. Placer construction (alias
 	// table builds, O(shard size)) runs inside the workers too: it
 	// reads only the shard's own weights slice and view.
-	for s := 0; s < shards; s++ {
-		phaseWG.Add(1)
-		taskCh <- s
-	}
-	close(taskCh)
-	phaseWG.Wait()
-	for s := 0; s < shards; s++ {
-		if errs[s] != nil {
-			return nil, fmt.Errorf("sim: RunLarge shard %d: %w", s, errs[s])
-		}
+	if err := l.run.runPhase(largePlace, shards, "shard"); err != nil {
+		return nil, err
 	}
 	if cc.cancelled() {
 		// The array holds partially placed shards — inconsistent as a
@@ -418,87 +433,65 @@ func RunLarge(cfg LargeConfig) (*LargeResult, error) {
 		// are exactly the rows an uninterrupted run would report: the
 		// partial is the longest complete cut prefix.
 		done := 0
-		if cutsDone != nil {
-			done = nCuts
-			for s := 0; s < shards; s++ {
-				if cutsDone[s] < done {
-					done = cutsDone[s]
-				}
-			}
+		if l.cutsDone != nil {
+			done = slices.Min(l.cutsDone)
 		}
-		res := &LargeResult{N: n, Shards: shards, Balls: m, ShardBalls: counts}
-		if done > 0 {
-			cp := obs.NewCheckpoints(cuts[:done])
-			c := arr.TotalCapacity()
-			maxs := make([]float64, done)
-			combineShardMaxima(track[:done], maxs)
-			for k := 0; k < done; k++ {
-				if realized[k] == 0 {
-					continue
-				}
-				cp.Observe(k, realized[k], c, maxs[k])
-			}
-			res.Checkpoints = cp.Rows()
-		}
-		return res, &CancelledError{Engine: engRunLarge, CompletedReps: -1, CompletedCuts: done, CompletedRounds: -1, CompletedTicks: -1, Cause: cc.err()}
+		return l.partial(cuts, realized, done, l.counts)
 	}
 
-	res := &LargeResult{
-		N:          n,
-		Shards:     shards,
-		Balls:      m,
-		ShardBalls: counts,
-		Array:      arr,
-	}
+	res := &LargeResult{N: n, Shards: shards, Balls: m, ShardBalls: l.counts, Array: arr}
 	if len(cuts) > 0 {
-		cp := obs.NewCheckpoints(cuts)
-		c := arr.TotalCapacity()
-		maxs := make([]float64, nCuts)
-		combineShardMaxima(track, maxs)
-		for k := 0; k < nCuts; k++ {
-			// A cut so small that every shard's block-aligned prefix is
-			// empty realises no state at all; skip it like a cut beyond
-			// m (visible through Reps) instead of recording a fictitious
-			// max load of 0.
-			if realized[k] == 0 {
-				continue
-			}
-			cp.Observe(k, realized[k], c, maxs[k])
-		}
-		res.Checkpoints = cp.Rows()
+		res.Checkpoints = l.checkpointRows(cuts, realized, nCuts)
 	}
-
-	arr.Recount()
-	var max float64
-	if cfg.HeightLevels > 0 {
-		// One histogram pass yields the exact max load and the height
-		// counts together, instead of a scan per observable.
-		h := arr.NewLoadHistogram()
-		if err := arr.HistogramInto(h); err != nil {
-			return nil, fmt.Errorf("sim: RunLarge histogram: %w", err)
-		}
-		max = h.MaxLoad()
-		hl := obs.NewHeights(cfg.HeightLevels)
-		if err := hl.SnapshotHist(obs.Final, h, m); err != nil {
-			return nil, fmt.Errorf("sim: RunLarge heights: %w", err)
-		}
-		res.HeightCounts = hl.Rows()
-	} else {
-		max = arr.MaxLoad()
+	max, heights, err := finalState(engRunLarge, arr, cfg.HeightLevels, m)
+	if err != nil {
+		return nil, err
 	}
 	avg := arr.AverageLoad()
 	res.MaxLoad = max
 	res.AvgLoad = avg
 	res.Deviation = max - avg
+	res.HeightCounts = heights
 	return res, nil
+}
+
+// checkpointRows observes the first done cuts from the per-shard tracks.
+// A cut so small that every shard's block-aligned prefix is empty
+// realises no state at all; it is skipped like a cut beyond m (visible
+// through Reps) instead of recording a fictitious max load of 0.
+func (l *largeRun) checkpointRows(cuts, realized []int64, done int) []obs.CheckpointRow {
+	cp := obs.NewCheckpoints(cuts)
+	c := l.arr.TotalCapacity()
+	maxs := make([]float64, done)
+	combineShardMaxima(l.track[:done], maxs)
+	for k := 0; k < done; k++ {
+		if realized[k] == 0 {
+			continue
+		}
+		cp.Observe(k, realized[k], c, maxs[k])
+	}
+	return cp.Rows()
+}
+
+// partial is the cancelled exit: the run's identity, the routed
+// counts (nil before routing completed) and, when checkpoints were
+// requested, exactly the done leading rows — a non-nil slice even when
+// done is 0.
+func (l *largeRun) partial(cuts, realized []int64, done int, shardBalls []int64) (*LargeResult, error) {
+	res := &LargeResult{N: l.arr.N(), Shards: len(l.counts), Balls: l.m, ShardBalls: shardBalls}
+	if len(cuts) > 0 {
+		res.Checkpoints = l.checkpointRows(cuts[:done], realized, done)
+	}
+	return res, &CancelledError{Engine: engRunLarge, CompletedReps: -1, CompletedCuts: done, CompletedRounds: -1, CompletedTicks: -1, Cause: l.cc.err()}
 }
 
 // shardPlan computes the contiguous shard boundaries, each shard's
 // total selection weight and the multinomial routing generator over
-// those weights. RunLarge and RunLargeMonte share it so the shard
-// geometry and routing distribution can never diverge: the Monte
-// engine's "repetition 0 reproduces RunLarge bit for bit" contract
-// depends on both engines using the identical plan.
+// those weights. Every sharded engine plans through it (via
+// newShardedBase) so the shard geometry and routing distribution can
+// never diverge: the Monte engine's "repetition 0 reproduces RunLarge
+// bit for bit" contract depends on both engines using the identical
+// plan.
 func shardPlan(weights []float64, n, shards int) (bounds []int, shardW []float64, router *sampling.Multinomial, err error) {
 	bounds = make([]int, shards+1)
 	for s := 0; s <= shards; s++ {
@@ -520,30 +513,24 @@ func shardPlan(weights []float64, n, shards int) (bounds []int, shardW []float64
 // placeShard runs shard s's game: its own pre-built view, its own
 // alias tables and its own RNG stream. A nil view means no balls were
 // routed here — every cut is trivially complete. When checkpoint cuts
-// are requested (cuts[k][s] is the block-aligned count of this shard's
-// balls at cut k), placement is segmented at the cuts and the
+// are requested (prefix[k][s] is the block-aligned count of this
+// shard's balls at cut k), placement is segmented at the cuts and the
 // shard-local running max is recorded into track[k][s]. Segmenting
 // PlaceBatch never moves a draw — PlaceBatch(a)+PlaceBatch(b) consumes
 // exactly the draws of PlaceBatch(a+b) — so the final state is
-// bit-identical with and without checkpoints (pinned by tests). When
-// cutsDone is non-nil, slot s receives the number of cuts the shard
-// fully completed before cancellation (each shard writes only its own
-// slot).
-func placeShard(cc *canceller, view *bins.Array, weights []float64, factory protocol.Factory, seed uint64, count int64, s int, cuts [][]int64, track [][]float64, cutsDone []int) error {
-	if view == nil {
-		if cutsDone != nil {
-			cutsDone[s] = len(cuts)
+// bit-identical with and without checkpoints (pinned by tests).
+func (l *largeRun) placeShard(s int) error {
+	done := len(l.prefix)
+	if view := l.views[s]; view != nil {
+		placer, err := l.factory(view, l.weights[l.bounds[s]:l.bounds[s+1]])
+		if err != nil {
+			return err
 		}
-		return nil
+		rs := xrand.NewStream(l.seed, uint64(s)+1)
+		done, _ = placeShardSegments(l.cc, engRunLarge, 0, placer, view, rs, l.counts[s], s, l.prefix, l.track)
 	}
-	placer, err := factory(view, weights)
-	if err != nil {
-		return err
-	}
-	rs := xrand.NewStream(seed, uint64(s)+1)
-	done, _ := placeShardSegments(cc, engRunLarge, 0, placer, view, rs, count, s, cuts, track)
-	if cutsDone != nil {
-		cutsDone[s] = done
+	if l.cutsDone != nil {
+		l.cutsDone[s] = done
 	}
 	return nil
 }

@@ -6,15 +6,15 @@
 //
 // # Scheduling model
 //
-// All CPU work (routing blocks, per-shard placement, per-repetition
-// summaries) executes on ONE shared bounded worker pool of cfg.Workers
-// goroutines. On top of it, min(Workers, Reps) repetition orchestrators
-// each own a single reusable bin-array clone (plus its shard views,
-// per-shard placers and routing groups, built once and reset between
-// repetitions) and pump their repetitions through the pool phase by
-// phase:
+// All CPU work (routing blocks, shard resets, per-shard placement,
+// per-repetition summaries) executes on ONE phase pool (pool.go) of
+// cfg.Workers goroutines. On top of it, min(Workers, Reps) repetition
+// orchestrators each own a phase runner over that pool and a single
+// reusable bin-array clone (plus its shard views, per-shard placers and
+// routing groups, built once and reset between repetitions), and pump
+// their repetitions through the pool phase by phase:
 //
-//	route blocks(rep) ∥ reset shards → place shards in parallel → summarise
+//	route blocks(rep) → reset shards → place shards in parallel → summarise
 //
 // Orchestrators only coordinate — they never burn a core — so shard
 // tasks of one repetition overlap the routing blocks of the next, and
@@ -41,11 +41,9 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"repro/internal/bins"
-	"repro/internal/dist"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/protocol"
@@ -235,10 +233,10 @@ type monteRepState struct {
 
 	// Per-shard load histograms (non-nil iff the run requests a
 	// distribution-shaped observable: load vector or height counts).
-	// Phase B rebuilds each routed shard's histogram over its own view
-	// in parallel; Phase C merges them in shard order into histAll —
-	// exact integer addition, so the merged histogram is identical to
-	// a whole-array pass for any worker count. All share the master
+	// The place phase rebuilds each routed shard's histogram over its
+	// own view in parallel; the summary phase merges them in shard
+	// order into histAll — exact integer addition, so the merged
+	// histogram is identical to a whole-array pass for any worker count. All share the master
 	// array's class skeleton, which is what makes the shard views'
 	// histograms mergeable.
 	hists   []*bins.LoadHistogram
@@ -247,7 +245,6 @@ type monteRepState struct {
 	// Per-repetition task parameters, set by runRep before submitting
 	// any task of the repetition (tasks of at most one repetition
 	// touch the state at a time, so plain fields suffice).
-	wg     sync.WaitGroup
 	seed   uint64
 	base   uint64 // stream base rep·(shards+1)
 	rbase  uint64 // Mix64(seed, base): the routing substream base
@@ -255,13 +252,10 @@ type monteRepState struct {
 	rep    int
 	router *sampling.Multinomial
 
-	// cc is the run's shared canceller (nil when no Context). taskErr
-	// collects the first contained panic of the current repetition's
-	// pool tasks (tasks of one repetition run concurrently, hence the
-	// mutex; orchestrator reads happen after wg.Wait).
-	cc      *canceller
-	errMu   sync.Mutex
-	taskErr error
+	// cc is the run's shared canceller (nil when no Context); run the
+	// orchestrator's phase runner over the shared pool.
+	cc  *canceller
+	run phaseRunner
 
 	// Routing state: the orchestrator's routing groups (route.go),
 	// reused across its repetitions, plus the cut plan (shared,
@@ -339,7 +333,7 @@ func newMonteRepState(master *bins.Array, weights []float64, bounds []int, shard
 		for s := 0; s < shards; s++ {
 			st.hists[s] = protoHist.CloneEmpty()
 			if st.views[s] != nil {
-				continue // rebuilt by Phase B every repetition
+				continue // rebuilt by the place phase every repetition
 			}
 			// Zero-weight shards are never routed to, reset or placed:
 			// their bins stay empty for the whole run, so one build at
@@ -356,85 +350,42 @@ func newMonteRepState(master *bins.Array, weights []float64, bounds []int, shard
 	return st, nil
 }
 
-// poolTask is one unit of pool work, passed by VALUE through the task
-// channel: the repetition state pointer plus a kind and an index. The
-// old chan-of-closures pool allocated one closure (plus captured loop
-// variables) per task — ~130 heap objects per repetition at 64
-// shards; a value task allocates nothing per submission.
-type poolTask struct {
-	st   *monteRepState
-	kind taskKind
-	idx  int
-}
-
-type taskKind int8
-
+// Monte task kinds, one per phase of a repetition.
 const (
-	taskRoute   taskKind = iota // route block group idx (Phase A)
-	taskReset                   // reset shard idx's view (Phase A)
-	taskPlace                   // place shard idx (Phase B)
-	taskSummary                 // whole-array summary (Phase C)
+	monteRoute   = iota // route block group idx
+	monteReset          // reset shard idx's view
+	montePlace          // place shard idx
+	monteSummary        // whole-array summary
 )
 
-// String names the task kind for panic provenance.
-func (k taskKind) String() string {
-	switch k {
-	case taskRoute:
-		return "route"
-	case taskReset:
-		return "reset"
-	case taskPlace:
-		return "place"
-	case taskSummary:
-		return "summary"
-	}
-	return "task"
-}
+var monteTaskNames = []string{"route", "reset", "place", "summary"}
 
-// fail records the first contained panic of the current repetition.
-func (st *monteRepState) fail(err error) {
-	st.errMu.Lock()
-	if st.taskErr == nil {
-		st.taskErr = err
-	}
-	st.errMu.Unlock()
-}
-
-// takeErr reads the repetition's first task error (called by the
-// orchestrator after wg.Wait, so no task is writing concurrently —
-// the lock only orders the read against the failing task's write).
-func (st *monteRepState) takeErr() error {
-	st.errMu.Lock()
-	defer st.errMu.Unlock()
-	return st.taskErr
-}
-
-// run executes the task. Per-repetition parameters (seed, stream
-// base, ball count, router) live on the repetition state, set by
-// runRep before any task of that repetition is submitted. A panic
-// anywhere in the task body is contained into a provenance error on
-// the repetition state — the pool worker survives, the phase barrier
-// (st.wg) is always reached.
-func (t poolTask) run() {
-	st := t.st
-	defer st.wg.Done()
-	defer func() {
-		if r := recover(); r != nil {
-			st.fail(newPanicError(engRunLargeMC, t.kind.String(), st.rep, t.idx, r))
-		}
-	}()
-	switch t.kind {
-	case taskRoute:
-		rg := &st.routeGroups[t.idx]
+// do is the orchestrator's task switch for its phase runner.
+// Per-repetition parameters (seed, stream base, ball count, router)
+// live on the repetition state, set by runRep before any task of that
+// repetition is submitted. Zero-weight shards (nil views) are skipped.
+func (st *monteRepState) do(kind, idx int) error {
+	switch kind {
+	case monteRoute:
+		rg := &st.routeGroups[idx]
 		rg.reset()
-		rg.route(st.cc, engRunLargeMC, st.rep, st.rbase, st.router, st.m, t.idx, len(st.routeGroups), st.cutBlocks, st.cutRems)
-	case taskReset:
-		if fault.Enabled {
-			fault.Hit(fault.Site{Engine: engRunLargeMC, Op: fault.OpReset, Rep: st.rep, Shard: t.idx, Block: -1})
+		rg.route(st.cc, engRunLargeMC, st.rep, st.rbase, st.router, st.m, idx, len(st.routeGroups), st.cutBlocks, st.cutRems)
+	case monteReset:
+		if st.views[idx] == nil {
+			return nil
 		}
-		st.views[t.idx].Reset()
-	case taskPlace:
-		s := t.idx
+		if fault.Enabled {
+			fault.Hit(fault.Site{Engine: engRunLargeMC, Op: fault.OpReset, Rep: st.rep, Shard: idx, Block: -1})
+		}
+		st.views[idx].Reset()
+	case montePlace:
+		s := idx
+		// A zero-count shard normally needs no placement at all; with
+		// histograms on it still runs (draw-free) so its empty view
+		// refreshes st.hists[s] for the summary merge.
+		if st.views[s] == nil || (st.counts[s] == 0 && st.hists == nil) {
+			return nil
+		}
 		p := st.placers[s]
 		// Stateful placers (e.g. the batched protocol's round
 		// snapshot) must forget the previous repetition.
@@ -457,8 +408,7 @@ func (t poolTask) run() {
 			// consumes no draws) so its freshly reset view overwrites
 			// last repetition's rows.
 			if err := st.views[s].HistogramInto(st.hists[s]); err != nil {
-				st.fail(fmt.Errorf("sim: RunLargeMonte shard %d histogram: %w", s, err))
-				return
+				return fmt.Errorf("sim: RunLargeMonte shard %d histogram: %w", s, err)
 			}
 		}
 		if st.shardMax != nil {
@@ -468,7 +418,7 @@ func (t poolTask) run() {
 				st.shardMax[s] = st.views[s].MaxLoad()
 			}
 		}
-	case taskSummary:
+	case monteSummary:
 		if fault.Enabled {
 			fault.Hit(fault.Site{Engine: engRunLargeMC, Op: fault.OpSummary, Rep: st.rep, Shard: -1, Block: -1})
 		}
@@ -481,8 +431,7 @@ func (t poolTask) run() {
 			ha.Reset()
 			for s := range st.hists {
 				if err := ha.Merge(st.hists[s]); err != nil {
-					st.fail(fmt.Errorf("sim: RunLargeMonte merge shard %d: %w", s, err))
-					return
+					return fmt.Errorf("sim: RunLargeMonte merge shard %d: %w", s, err)
 				}
 			}
 			st.max = ha.MaxLoad()
@@ -497,44 +446,34 @@ func (t poolTask) run() {
 		}
 		combineShardMaxima(st.track, st.cpMax)
 	}
+	return nil
 }
 
-// runRep executes one repetition through the shared pool in three
-// phases. Phase A overlaps the routing blocks (substreams of stream
-// base = rep·(shards+1), fanned out across the orchestrator's routing
-// groups) with the per-shard resets: routing touches only the
-// splitting tree and the group's own buffers, resets touch only view
-// bins; the orchestrator folds the groups afterwards (exact integer
-// sums, order-free). Phase B places every routed shard in parallel on
-// stream base+1+s. Phase C summarises the whole array (the only phase
-// that may run parent-array methods, which the bins.Shard contract
-// forbids while views mutate).
+// runRep executes one repetition through the shared pool in four
+// phases: route the blocks (substreams of stream base = rep·(shards+1),
+// fanned out across the orchestrator's routing groups, folded by the
+// orchestrator afterwards — exact integer sums, order-free); reset
+// every shard view; place every routed shard in parallel on stream
+// base+1+s; summarise the whole array (the only phase that may run
+// parent-array methods, which the bins.Shard contract forbids while
+// views mutate).
 //
 // It returns ok = false when the repetition was abandoned because the
 // run's context fired (the state is then never read again — every
 // later repetition of this orchestrator is skipped too), and a non-nil
-// err when a pool task of this repetition panicked.
-func (st *monteRepState) runRep(tasks chan<- poolTask, seed, rep uint64, shards int, m int64, router *sampling.Multinomial) (ok bool, err error) {
+// err when a pool task of this repetition failed.
+func (st *monteRepState) runRep(seed, rep uint64, shards int, m int64, router *sampling.Multinomial) (ok bool, err error) {
 	st.seed = seed
 	st.rep = int(rep)
-	st.taskErr = nil
+	st.run.rep = int(rep)
 	st.base = rep * uint64(shards+1)
 	st.rbase = xrand.Mix64(seed, st.base)
 	st.m = m
 	st.router = router
-	for g := range st.routeGroups {
-		st.wg.Add(1)
-		tasks <- poolTask{st, taskRoute, g}
+	if _, err := st.run.dispatch(monteRoute, len(st.routeGroups)); err != nil {
+		return false, err
 	}
-	for s := range st.views {
-		if st.views[s] == nil {
-			continue
-		}
-		st.wg.Add(1)
-		tasks <- poolTask{st, taskReset, s}
-	}
-	st.wg.Wait()
-	if err := st.takeErr(); err != nil {
+	if _, err := st.run.dispatch(monteReset, shards); err != nil {
 		return false, err
 	}
 	if st.cc.cancelled() {
@@ -551,28 +490,13 @@ func (st *monteRepState) runRep(tasks chan<- poolTask, seed, rep uint64, shards 
 	}
 	clear(st.shardMax)
 
-	for s := range st.views {
-		// A zero-count shard normally needs no Phase B at all; with
-		// histograms on it still gets a (draw-free) taskPlace so its
-		// empty view refreshes st.hists[s] for the Phase C merge.
-		if st.views[s] == nil || (st.counts[s] == 0 && st.hists == nil) {
-			continue
-		}
-		st.wg.Add(1)
-		tasks <- poolTask{st, taskPlace, s}
-	}
-	st.wg.Wait()
-	if err := st.takeErr(); err != nil {
+	if _, err := st.run.dispatch(montePlace, shards); err != nil {
 		return false, err
 	}
 	if st.cc.cancelled() {
 		return false, nil
 	}
-
-	st.wg.Add(1)
-	tasks <- poolTask{st, taskSummary, 0}
-	st.wg.Wait()
-	if err := st.takeErr(); err != nil {
+	if _, err := st.run.dispatch(monteSummary, 1); err != nil {
 		return false, err
 	}
 	return true, nil
@@ -602,54 +526,22 @@ func RunLargeMonte(cfg LargeMonteConfig) (*LargeMonteResult, error) {
 	cc := newCanceller(cfg.Context)
 	defer cc.stop()
 
-	n := cfg.Array.N()
-	master := cfg.Array
-	if !cfg.AdoptArray {
-		master = cfg.Array.Clone()
-	}
-	master.Reset()
-	d := cfg.Dist
-	if d == nil {
-		d = dist.Proportional{}
-	}
-	weights, err := d.Weights(master)
-	if err != nil {
-		return nil, fmt.Errorf("sim: RunLargeMonte weights: %w", err)
-	}
-	factory := cfg.Placer
-	if factory == nil {
-		factory = protocol.GreedyFactory(2)
-	}
-
 	// The shard plan (boundaries, per-shard weights, routing table) is
 	// shared read-only across repetitions: AliasTable.Sample only reads
 	// the packed columns, so concurrent routing passes of different
 	// repetitions can use one router.
-	bounds, shardW, router, err := shardPlan(weights, n, shards)
+	base, err := newDistBase(engRunLargeMC, cfg.Array, cfg.AdoptArray, cfg.Dist, cfg.Placer, shards, cfg.Workers)
 	if err != nil {
-		return nil, fmt.Errorf("sim: RunLargeMonte router: %w", err)
+		return nil, err
 	}
-
-	m := (&Config{Balls: cfg.Balls, BallsFactor: cfg.BallsFactor}).ballCount(master.TotalCapacity())
+	master, workers := base.arr, base.workers
+	n := master.N()
+	totalCap := master.TotalCapacity()
+	m := (&Config{Balls: cfg.Balls, BallsFactor: cfg.BallsFactor}).ballCount(totalCap)
 
 	allCuts, _ := obs.NormalizeCuts(cfg.Checkpoints) // validated above
 	cuts := allCuts[:obs.CountReached(allCuts, m)]
-	totalCap := master.TotalCapacity()
-
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// Routing fan-out per repetition: one group per worker, capped at
-	// the number of routing blocks (the grouping never affects the
-	// merged counts — integer sums are exact).
-	routeWidth := workers
-	if nb := numRouteBlocks(m); routeWidth > nb {
-		routeWidth = nb
-	}
-	if routeWidth < 1 {
-		routeWidth = 1
-	}
+	routeWidth := base.routeWidth(m)
 	cutBlocks, cutRems := cutPlan(cuts)
 
 	// One class skeleton for the whole run: every orchestrator's shard
@@ -723,20 +615,10 @@ func RunLargeMonte(cfg LargeMonteConfig) (*LargeMonteResult, error) {
 		inflight = remaining
 	}
 
-	// The shared bounded pool: every CPU-heavy task of every phase of
+	// The shared phase pool: every CPU-heavy task of every phase of
 	// every repetition runs here, so concurrency is exactly workers.
-	// Tasks travel by value — no per-task heap traffic.
-	tasks := make(chan poolTask)
-	var poolWG sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		poolWG.Add(1)
-		go func() {
-			defer poolWG.Done()
-			for t := range tasks {
-				t.run()
-			}
-		}()
-	}
+	var pool phasePool
+	pool.start(workers)
 
 	var orchWG sync.WaitGroup
 	for w := 0; w < inflight; w++ {
@@ -752,9 +634,10 @@ func RunLargeMonte(cfg LargeMonteConfig) (*LargeMonteResult, error) {
 					agg.abort(newPanicError(engRunLargeMC, "orchestrator", -1, w, r))
 				}
 			}()
-			st, serr := newMonteRepState(master, weights, bounds, shardW, factory, &cfg, cuts, routeWidth, cutBlocks, cutRems, protoHist)
+			st, serr := newMonteRepState(master, base.weights, base.bounds, base.shardW, base.factory, &cfg, cuts, routeWidth, cutBlocks, cutRems, protoHist)
 			if serr == nil {
 				st.cc = cc
+				st.run = phaseRunner{pool: &pool, engine: engRunLargeMC, names: monteTaskNames, tasks: st}
 			}
 			// One fold body per orchestrator, not per repetition: it
 			// snapshots whatever st holds when its repetition's turn
@@ -813,7 +696,7 @@ func RunLargeMonte(cfg LargeMonteConfig) (*LargeMonteResult, error) {
 					agg.fold(rep, skip)
 					continue
 				}
-				ok, rerr := st.runRep(tasks, cfg.Seed, uint64(rep), shards, m, router)
+				ok, rerr := st.runRep(cfg.Seed, uint64(rep), shards, m, base.router)
 				switch {
 				case rerr != nil:
 					agg.fold(rep, func(ag *monteAgg) { ag.err = rerr })
@@ -826,8 +709,7 @@ func RunLargeMonte(cfg LargeMonteConfig) (*LargeMonteResult, error) {
 		}(w)
 	}
 	orchWG.Wait()
-	close(tasks)
-	poolWG.Wait()
+	pool.stop()
 
 	if agg.err != nil {
 		return nil, agg.err

@@ -14,8 +14,8 @@ package sim
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/bins"
 	"repro/internal/dist"
@@ -239,49 +239,99 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	return runChunks(&cfg, engRun, classicSetup, runRep)
+}
+
+// runChunks is the chunk driver Run and RunClosed share. Repetitions
+// split into fixed chunkSize chunks that min(Workers, chunks) workers —
+// the calling goroutine among them — claim in index order from one
+// shared counter. Each worker builds its reusable state once (setup)
+// and runs every repetition of a claimed chunk in order (rep); partials
+// merge in chunk order (reduce). Setup and repetition panics are
+// contained into provenance errors ("setup" and "chunk" tasks of engine
+// eng); an error or a cancellation only skips the remaining work.
+func runChunks[W any](cfg *Config, eng string, setup func(*Config) (W, error), rep func(*Config, []int64, uint64, W, *chunkPartial) error) (*Result, error) {
 	cc := newCanceller(cfg.Context)
 	defer cc.stop()
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	nChunks := (cfg.Reps + chunkSize - 1) / chunkSize
-	if workers > nChunks {
-		workers = nChunks
-	}
-
 	checkpoints, err := obs.NormalizeCuts(cfg.Checkpoints)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-
+	nChunks := (cfg.Reps + chunkSize - 1) / chunkSize
 	partials := make([]chunkPartial, nChunks)
-	chunkCh := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			worker(&cfg, cc, checkpoints, chunkCh, partials)
-		}()
+	var claim struct {
+		next atomic.Int64
+		wg   sync.WaitGroup
 	}
-	// Workers never exit before the close — a cancelled or panicked
-	// worker keeps draining chunk indices (skipping the work) — so
-	// these sends can never block forever.
-	for ci := 0; ci < nChunks; ci++ {
-		chunkCh <- ci
+	work := func() {
+		defer claim.wg.Done()
+		state, setupErr := guardedSetup(cfg, eng, setup)
+		for {
+			ci := int(claim.next.Add(1)) - 1
+			if ci >= nChunks {
+				return
+			}
+			p := &partials[ci]
+			if setupErr != nil {
+				p.err = setupErr
+				continue
+			}
+			for r := ci * chunkSize; r < min((ci+1)*chunkSize, cfg.Reps); r++ {
+				// Repetition granularity is the chunked engines'
+				// cancellation check: one repetition bounds the latency.
+				if cc.cancelled() {
+					break
+				}
+				if err := guardedRep(cfg, eng, checkpoints, uint64(r), ci, state, p, rep); err != nil {
+					p.err = err
+					break
+				}
+				p.reps++
+			}
+		}
 	}
-	close(chunkCh)
-	wg.Wait()
+	workers := min(resolveWorkers(cfg.Workers), nChunks)
+	claim.wg.Add(workers)
+	for w := 1; w < workers; w++ {
+		go work()
+	}
+	work()
+	claim.wg.Wait()
 
-	res, completed, err := reduce(&cfg, checkpoints, partials)
+	res, completed, err := reduce(cfg, checkpoints, partials)
 	if err != nil {
 		return nil, err
 	}
 	if completed < cfg.Reps {
-		return res, &CancelledError{Engine: engRun, CompletedReps: completed, CompletedCuts: -1, CompletedRounds: -1, CompletedTicks: -1, Cause: cc.err()}
+		return res, &CancelledError{Engine: eng, CompletedReps: completed, CompletedCuts: -1, CompletedRounds: -1, CompletedTicks: -1, Cause: cc.err()}
 	}
 	return res, nil
+}
+
+// guardedSetup runs a worker's setup, containing panics in
+// distribution or protocol constructors into provenance errors.
+func guardedSetup[W any](cfg *Config, eng string, setup func(*Config) (W, error)) (state W, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = newPanicError(eng, "setup", -1, -1, r)
+		}
+	}()
+	return setup(cfg)
+}
+
+// guardedRep wraps one repetition in the fault-injection hook and a
+// recover that converts panics (in ArrayFn, distribution, protocol or
+// collector code) into provenance errors.
+func guardedRep[W any](cfg *Config, eng string, checkpoints []int64, rep uint64, chunk int, state W, p *chunkPartial, fn func(*Config, []int64, uint64, W, *chunkPartial) error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = newPanicError(eng, "chunk", int(rep), chunk, r)
+		}
+	}()
+	if fault.Enabled {
+		fault.Hit(fault.Site{Engine: eng, Op: fault.OpChunk, Rep: int(rep), Shard: -1, Block: -1})
+	}
+	return fn(cfg, checkpoints, rep, state, p)
 }
 
 // workerScratch holds per-worker reusable buffers so the repetition
@@ -337,86 +387,42 @@ func snapshotCheckpoint(cfg *Config, p *chunkPartial, scratch *workerScratch, ar
 	return p.cp.SnapshotHist(cut, h, balls)
 }
 
-// worker processes chunks of repetitions. Each worker keeps its own clone
-// of a fixed array, a placer (and its alias tables) built once and reused
-// across repetitions via Reset, and scratch buffers — workers never share
-// mutable state. A worker NEVER stops draining chunkCh — setup errors,
-// repetition errors, contained panics and cancellation all just skip the
-// remaining work — because the sender in Run blocks until every chunk
-// index is consumed.
-func worker(cfg *Config, cc *canceller, checkpoints []int64, chunkCh <-chan int, partials []chunkPartial) {
-	fixedArr, fixedPlacer, setupErr := workerSetup(cfg)
-	var scratch workerScratch
-	for ci := range chunkCh {
-		p := &partials[ci]
-		if setupErr != nil {
-			p.err = setupErr
-			continue
-		}
-		lo := ci * chunkSize
-		hi := lo + chunkSize
-		if hi > cfg.Reps {
-			hi = cfg.Reps
-		}
-		for rep := lo; rep < hi; rep++ {
-			// Repetition granularity is the classic engine's
-			// cancellation check: one repetition bounds the latency.
-			if cc.cancelled() {
-				break
-			}
-			if err := runRepGuarded(cfg, checkpoints, uint64(rep), ci, fixedArr, fixedPlacer, &scratch, p); err != nil {
-				p.err = err
-				break
-			}
-			p.reps++
-		}
-	}
+// classicState is one Run worker's reusable state: its own clone of a
+// fixed array, a placer (and its alias tables) built once and reused
+// across repetitions via Reset, and scratch buffers — workers never
+// share mutable state. With ArrayFn, arr and placer stay nil and every
+// repetition builds its own.
+type classicState struct {
+	arr     *bins.Array
+	placer  protocol.Placer
+	scratch workerScratch
 }
 
-// workerSetup builds a worker's fixed array and placer, containing
-// panics in distribution or protocol constructors into provenance
-// errors so a failing build can never crash the process or strand the
-// chunk sender.
-func workerSetup(cfg *Config) (fixedArr *bins.Array, fixedPlacer protocol.Placer, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			fixedArr, fixedPlacer = nil, nil
-			err = newPanicError(engRun, "setup", -1, -1, r)
-		}
-	}()
+// classicSetup builds a Run worker's state.
+func classicSetup(cfg *Config) (*classicState, error) {
+	w := &classicState{}
 	if cfg.ArrayFn != nil {
-		return nil, nil, nil
+		return w, nil
 	}
-	fixedArr = cfg.Array.Clone()
-	fixedArr.Reset()
-	weights, err := cfg.distribution().Weights(fixedArr)
-	if err == nil {
-		fixedPlacer, err = cfg.factory()(fixedArr, weights)
+	w.arr = cfg.Array.Clone()
+	w.arr.Reset()
+	weights, err := cfg.distribution().Weights(w.arr)
+	if err != nil {
+		return nil, err
 	}
-	return fixedArr, fixedPlacer, err
-}
-
-// runRepGuarded wraps one repetition in the fault-injection hook and a
-// recover that converts panics (in ArrayFn, distribution, protocol or
-// collector code) into provenance errors.
-func runRepGuarded(cfg *Config, checkpoints []int64, rep uint64, chunk int, fixedArr *bins.Array, fixedPlacer protocol.Placer, scratch *workerScratch, p *chunkPartial) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = newPanicError(engRun, "chunk", int(rep), chunk, r)
-		}
-	}()
-	if fault.Enabled {
-		fault.Hit(fault.Site{Engine: engRun, Op: fault.OpChunk, Rep: int(rep), Shard: -1, Block: -1})
+	if w.placer, err = cfg.factory()(w.arr, weights); err != nil {
+		return nil, err
 	}
-	return runRep(cfg, checkpoints, rep, fixedArr, fixedPlacer, scratch, p)
+	return w, nil
 }
 
 // runRep executes one repetition and folds its metrics into the partial.
-func runRep(cfg *Config, checkpoints []int64, rep uint64, fixedArr *bins.Array, fixedPlacer protocol.Placer, scratch *workerScratch, p *chunkPartial) error {
+func runRep(cfg *Config, checkpoints []int64, rep uint64, w *classicState, p *chunkPartial) error {
 	r := xrand.NewStream(cfg.Seed, rep)
 
-	arr := fixedArr
-	placer := fixedPlacer
+	arr := w.arr
+	placer := w.placer
+	scratch := &w.scratch
 	if cfg.ArrayFn != nil {
 		var err error
 		arr, err = cfg.ArrayFn(r)

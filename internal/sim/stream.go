@@ -75,9 +75,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/bins"
 	"repro/internal/dist"
@@ -234,17 +232,8 @@ func (c *StreamConfig) validate() (shards, rounds int, err error) {
 	if err := c.ObsOptions.rejectHeightBins("the streaming engine"); err != nil {
 		return 0, 0, err
 	}
-	n := c.Array.N()
-	shards = c.Shards
-	if shards == 0 {
-		shards = DefaultShards
-		if shards > n {
-			shards = n
-		}
-	} else if shards < 1 || shards > n {
-		return 0, 0, fmt.Errorf("sim: Shards = %d outside [1,%d]", c.Shards, n)
-	}
-	return shards, rounds, nil
+	shards, err = resolveShards(c.Shards, c.Array.N())
+	return shards, rounds, err
 }
 
 // Stream task kinds: one per phase of a round (plus the one-time
@@ -261,15 +250,7 @@ const (
 )
 
 // streamTaskNames[kind] is the provenance name of a task kind.
-var streamTaskNames = [...]string{"route", "setup", "place", "delete", "move-out", "move-in", "observe"}
-
-// streamTask is one unit of pool work: a task kind plus the shard (or
-// routing-group) index it applies to. Plain values flow through the
-// task channel, so dispatching a phase allocates nothing.
-type streamTask struct {
-	kind int32
-	idx  int32
-}
+var streamTaskNames = []string{"route", "setup", "place", "delete", "move-out", "move-in", "observe"}
 
 // apportion sorts deficit-shard indices by descending largest-remainder
 // residue (ties by ascending shard index — a total order, so the result
@@ -295,20 +276,14 @@ func (a *apportion) Less(i, j int) bool {
 // allocation at all (pinned by TestStreamSteadyStateAllocFree and the
 // rounds/sec benchmark).
 type streamState struct {
+	shardedBase
 	cfg    *StreamConfig
 	cc     *canceller
-	arr    *bins.Array
 	n      int
 	shards int
 	seed   uint64
 	kk     uint64 // RNG streams consumed per round: 3·shards + 2
-
-	weights []float64
-	factory protocol.Factory
-	bounds  []int
-	shardW  []float64
-	sumW    float64
-	router  *sampling.Multinomial
+	sumW   float64
 
 	views   []*bins.Array
 	placers []protocol.Placer
@@ -342,9 +317,8 @@ type streamState struct {
 	trackMat [][]float64 // {trackRow}, the shape combineShardMaxima folds
 	maxOut   []float64   // combineShardMaxima output scratch (len 1)
 
-	taskCh chan streamTask
-	wg     sync.WaitGroup
-	errs   []error
+	pool phasePool
+	run  phaseRunner
 
 	// Round-scoped fields, written by the orchestrator strictly
 	// between phase barriers (the task-channel sends order the writes
@@ -375,83 +349,35 @@ func runStream(cfg StreamConfig) (*StreamResult, error) {
 	}
 	cc := newCanceller(cfg.Context)
 	defer cc.stop()
-	arr := cfg.Array
-	if !cfg.AdoptArray {
-		arr = cfg.Array.Clone()
-	}
-	arr.Reset()
-	n := arr.N()
-
-	d := cfg.Dist
-	if d == nil {
-		d = dist.Proportional{}
-	}
-	weights, err := d.Weights(arr)
+	base, err := newDistBase(engRunStream, cfg.Array, cfg.AdoptArray, cfg.Dist, cfg.Placer, shards, cfg.Workers)
 	if err != nil {
-		return nil, fmt.Errorf("sim: RunStream weights: %w", err)
+		return nil, err
 	}
-	factory := cfg.Placer
-	if factory == nil {
-		factory = protocol.GreedyFactory(2)
-	}
-	bounds, shardW, router, err := shardPlan(weights, n, shards)
-	if err != nil {
-		return nil, fmt.Errorf("sim: RunStream router: %w", err)
-	}
-
+	arr := base.arr
 	st := &streamState{
-		cfg:     &cfg,
-		cc:      cc,
-		arr:     arr,
-		n:       n,
-		shards:  shards,
-		seed:    cfg.Seed,
-		kk:      uint64(3*shards + 2),
-		weights: weights,
-		factory: factory,
-		bounds:  bounds,
-		shardW:  shardW,
-		router:  router,
+		shardedBase: base,
+		cfg:         &cfg,
+		cc:          cc,
+		n:           arr.N(),
+		shards:      shards,
+		seed:        cfg.Seed,
+		kk:          uint64(3*shards + 2),
+		totalCap:    arr.TotalCapacity(),
 	}
-	for _, w := range shardW {
+	for _, w := range st.shardW {
 		st.sumW += w
 	}
-	st.totalCap = arr.TotalCapacity()
 	if len(cfg.Schedule) > 0 {
 		st.sched = cfg.Schedule
 	} else {
 		st.fixedM = (&Config{Balls: cfg.Arrivals, BallsFactor: cfg.ArrivalsFactor}).ballCount(st.totalCap)
 	}
-
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	maxM := st.fixedM
 	for _, a := range st.sched {
-		if a > maxM {
-			maxM = a
-		}
+		maxM = max(maxM, a)
 	}
-	rg := workers
-	if nb := numRouteBlocks(maxM); rg > nb {
-		rg = nb
-	}
-	if rg < 1 {
-		rg = 1
-	}
+	rg := base.routeWidth(maxM)
 	st.groups = newRouteGroups(rg, shards, 0)
-
-	lim := shards
-	if lim < rg {
-		lim = rg
-	}
-	pool := workers
-	if pool > lim {
-		pool = lim
-	}
-	st.errs = make([]error, lim)
-	st.taskCh = make(chan streamTask)
 
 	st.counts = make([]int64, shards)
 	st.sballs = make([]int64, shards)
@@ -489,10 +415,10 @@ func runStream(cfg StreamConfig) (*StreamResult, error) {
 	// never touch an empty shard, and skipping them keeps degenerate
 	// weight slices from failing the placer build.
 	for s := 0; s < shards; s++ {
-		if shardW[s] <= 0 {
+		if st.shardW[s] <= 0 {
 			continue
 		}
-		st.views[s], err = arr.Shard(bounds[s], bounds[s+1])
+		st.views[s], err = arr.Shard(st.bounds[s], st.bounds[s+1])
 		if err != nil {
 			return nil, fmt.Errorf("sim: RunStream shard %d: %w", s, err)
 		}
@@ -502,41 +428,24 @@ func runStream(cfg StreamConfig) (*StreamResult, error) {
 		}
 	}
 
-	for w := 0; w < pool; w++ {
-		go st.serve()
-	}
-	res, err := st.orchestrate(rounds)
-	close(st.taskCh)
-	return res, err
+	st.pool.start(min(base.workers, max(shards, rg)))
+	defer st.pool.stop()
+	st.run = phaseRunner{pool: &st.pool, engine: engRunStream, names: streamTaskNames, tasks: st}
+	return st.orchestrate(rounds)
 }
 
-// serve is one pool worker: drain tasks until the channel closes. Each
-// task runs behind its own recover (in do) so a panic anywhere
-// surfaces as a *PanicError from runStream, never as a crash or hang.
-func (st *streamState) serve() {
-	for t := range st.taskCh {
-		st.do(t)
-	}
-}
-
-// do executes one task. Task state is indexed by (kind, idx) and every
+// do is the engine's task switch for its phase runner (pool.go). Task
+// state is indexed by (kind, shard or routing-group index) and every
 // task touches only its own shard's (or routing group's) state, so any
 // scheduling of tasks onto workers produces identical bits.
-func (st *streamState) do(t streamTask) {
-	defer st.wg.Done()
-	defer func() {
-		if r := recover(); r != nil {
-			st.errs[t.idx] = newPanicError(engRunStream, streamTaskNames[t.kind], st.round, int(t.idx), r)
-		}
-	}()
-	s := int(t.idx)
-	switch t.kind {
+func (st *streamState) do(kind, s int) (err error) {
+	switch kind {
 	case streamTaskRoute:
 		st.groups[s].reset()
 		st.groups[s].route(st.cc, engRunStream, st.round, st.rrbase, st.router, st.curM, s, st.rgr, nil, nil)
 	case streamTaskSetup:
 		if st.views[s] != nil {
-			st.placers[s], st.errs[s] = st.factory(st.views[s], st.weights[st.bounds[s]:st.bounds[s+1]])
+			st.placers[s], err = st.factory(st.views[s], st.weights[st.bounds[s]:st.bounds[s+1]])
 		}
 	case streamTaskPlace:
 		if st.counts[s] > 0 {
@@ -557,24 +466,7 @@ func (st *streamState) do(t streamTask) {
 			st.trackRow[s] = 0
 		}
 	}
-}
-
-// runPhase dispatches count tasks of one kind, waits for the barrier
-// and surfaces the first task error (wrapped with the phase label and
-// index). The error slots are cleared for the next phase.
-func (st *streamState) runPhase(kind int32, count int, label string) error {
-	for i := 0; i < count; i++ {
-		st.wg.Add(1)
-		st.taskCh <- streamTask{kind: kind, idx: int32(i)}
-	}
-	st.wg.Wait()
-	for i := 0; i < count; i++ {
-		if err := st.errs[i]; err != nil {
-			clear(st.errs[:count])
-			return fmt.Errorf("sim: RunStream %s %d: %w", label, i, err)
-		}
-	}
-	return nil
+	return err
 }
 
 // deleteShard removes the round's delQuota[s] deletion draws from
@@ -752,11 +644,11 @@ func (st *streamState) orchestrate(rounds int) (*StreamResult, error) {
 	// One-time setup: per-shard placer builds (alias tables,
 	// O(shard size) each) fan out across the pool. Built once, not per
 	// round — a steady-state round allocates nothing.
-	if err := st.runPhase(streamTaskSetup, st.shards, "setup shard"); err != nil {
+	if err := st.run.runPhase(streamTaskSetup, st.shards, "setup shard"); err != nil {
 		return nil, err
 	}
 	if st.cc.cancelled() {
-		return st.partial()
+		return st.partial(st.cc.err())
 	}
 	for r := 0; r < rounds; r++ {
 		ok, err := st.runRound(r)
@@ -764,10 +656,10 @@ func (st *streamState) orchestrate(rounds int) (*StreamResult, error) {
 			return nil, err
 		}
 		if !ok {
-			return st.partial()
+			return st.partial(st.cc.err())
 		}
 		if ca := st.cfg.CancelAfterRounds; ca > 0 && st.rounds == ca && st.rounds < rounds {
-			return st.partialSelfCancel()
+			return st.partial(nil)
 		}
 	}
 	return st.final()
@@ -780,7 +672,7 @@ func (st *streamState) runRound(r int) (ok bool, err error) {
 	if st.cc.cancelled() {
 		return false, nil
 	}
-	st.round = r
+	st.round, st.run.rep = r, r
 	st.rbase = uint64(r) * st.kk
 	// Placement streams are re-seeded for EVERY shard at the start of
 	// every round — whether or not the shard receives arrivals — so a
@@ -796,19 +688,15 @@ func (st *streamState) runRound(r int) (ok bool, err error) {
 	st.curM = m
 	if m > 0 {
 		st.rrbase = xrand.Mix64(st.seed, st.rbase)
-		rgr := len(st.groups)
-		if nb := numRouteBlocks(m); rgr > nb {
-			rgr = nb
-		}
-		st.rgr = rgr
-		if err := st.runPhase(streamTaskRoute, rgr, "routing group"); err != nil {
+		st.rgr = min(len(st.groups), numRouteBlocks(m))
+		if err := st.run.runPhase(streamTaskRoute, st.rgr, "routing group"); err != nil {
 			return false, err
 		}
 		if st.cc.cancelled() {
 			return false, nil
 		}
-		mergeRouteGroups(st.groups[:rgr], st.counts, nil)
-		if err := st.runPhase(streamTaskPlace, st.shards, "shard"); err != nil {
+		mergeRouteGroups(st.groups[:st.rgr], st.counts, nil)
+		if err := st.run.runPhase(streamTaskPlace, st.shards, "shard"); err != nil {
 			return false, err
 		}
 		if st.cc.cancelled() {
@@ -833,7 +721,7 @@ func (st *streamState) runRound(r int) (ok bool, err error) {
 		if st.cc.cancelled() {
 			return false, nil
 		}
-		if err := st.runPhase(streamTaskDelete, st.shards, "deletion shard"); err != nil {
+		if err := st.run.runPhase(streamTaskDelete, st.shards, "deletion shard"); err != nil {
 			return false, err
 		}
 		if st.cc.cancelled() {
@@ -852,13 +740,13 @@ func (st *streamState) runRound(r int) (ok bool, err error) {
 	if tol := st.cfg.RebalanceTol; tol > 0 {
 		moved = st.planRebalance(tol)
 		if moved > 0 {
-			if err := st.runPhase(streamTaskMoveOut, st.shards, "move-out shard"); err != nil {
+			if err := st.run.runPhase(streamTaskMoveOut, st.shards, "move-out shard"); err != nil {
 				return false, err
 			}
 			if st.cc.cancelled() {
 				return false, nil
 			}
-			if err := st.runPhase(streamTaskMoveIn, st.shards, "move-in shard"); err != nil {
+			if err := st.run.runPhase(streamTaskMoveIn, st.shards, "move-in shard"); err != nil {
 				return false, err
 			}
 			if st.cc.cancelled() {
@@ -875,7 +763,7 @@ func (st *streamState) runRound(r int) (ok bool, err error) {
 	// abandons the whole round and the trajectory stays exactly the
 	// committed prefix's.
 	if st.nextCut < st.nCuts && st.cuts[st.nextCut] == int64(r)+1 {
-		if err := st.runPhase(streamTaskObserve, st.shards, "observe shard"); err != nil {
+		if err := st.run.runPhase(streamTaskObserve, st.shards, "observe shard"); err != nil {
 			return false, err
 		}
 		if st.cc.cancelled() {
@@ -915,28 +803,17 @@ func (st *streamState) partialResult() *StreamResult {
 	return res
 }
 
-// partial is the context-cancelled exit: the committed-round prefix
-// plus a *CancelledError carrying the context's cause.
-func (st *streamState) partial() (*StreamResult, error) {
+// partial is the cancelled exit: the committed-round prefix plus a
+// *CancelledError carrying cause — the context's error, or nil for the
+// CancelAfterRounds self-cancel.
+func (st *streamState) partial(cause error) (*StreamResult, error) {
 	return st.partialResult(), &CancelledError{
 		Engine:          engRunStream,
 		CompletedReps:   -1,
 		CompletedCuts:   st.nextCut,
 		CompletedRounds: st.rounds,
 		CompletedTicks:  -1,
-		Cause:           st.cc.err(),
-	}
-}
-
-// partialSelfCancel is the CancelAfterRounds exit: same deterministic
-// prefix, nil Cause.
-func (st *streamState) partialSelfCancel() (*StreamResult, error) {
-	return st.partialResult(), &CancelledError{
-		Engine:          engRunStream,
-		CompletedReps:   -1,
-		CompletedCuts:   st.nextCut,
-		CompletedRounds: st.rounds,
-		CompletedTicks:  -1,
+		Cause:           cause,
 	}
 }
 
@@ -944,31 +821,18 @@ func (st *streamState) partialSelfCancel() (*StreamResult, error) {
 // the final whole-array statistics and (optionally) height counts.
 func (st *streamState) final() (*StreamResult, error) {
 	res := st.partialResult()
-	st.arr.Recount()
-	var max float64
-	if st.cfg.HeightLevels > 0 {
-		// Distribution-shaped final report: one histogram pass yields
-		// the exact max load and the height counts together. The
-		// per-round observe phase keeps its direct per-shard MaxLoad
-		// scan — max-only snapshots need no histogram and the scan is
-		// alloc-free.
-		h := st.arr.NewLoadHistogram()
-		if err := st.arr.HistogramInto(h); err != nil {
-			return nil, fmt.Errorf("sim: RunStream histogram: %w", err)
-		}
-		max = h.MaxLoad()
-		hl := obs.NewHeights(st.cfg.HeightLevels)
-		if err := hl.SnapshotHist(obs.Final, h, st.arrived); err != nil {
-			return nil, fmt.Errorf("sim: RunStream heights: %w", err)
-		}
-		res.HeightCounts = hl.Rows()
-	} else {
-		max = st.arr.MaxLoad()
+	// The per-round observe phase keeps its direct per-shard MaxLoad
+	// scan — max-only snapshots need no histogram and the scan is
+	// alloc-free.
+	max, heights, err := finalState(engRunStream, st.arr, st.cfg.HeightLevels, st.arrived)
+	if err != nil {
+		return nil, err
 	}
 	avg := st.arr.AverageLoad()
 	res.MaxLoad = max
 	res.AvgLoad = avg
 	res.Deviation = max - avg
+	res.HeightCounts = heights
 	res.Array = st.arr
 	return res, nil
 }

@@ -32,12 +32,15 @@ trap 'rm -f "$RAW"' EXIT
 
 # Box topology, recorded alongside the numbers so bench_compare.sh can
 # warn when a comparison crosses machines (ns/op is only meaningful
-# like-with-like). GOMAXPROCS defaults to the CPU count unless pinned
-# via the environment, mirroring the Go runtime's default.
+# like-with-like) and compare allocs/op only between runs at the same
+# GOMAXPROCS (a few allocations depend on it). GOMAXPROCS defaults to
+# the CPU count unless set in the environment, and is exported so the
+# benchmarks run at exactly the recorded value.
 GOOS_V="$(go env GOOS)"
 GOARCH_V="$(go env GOARCH)"
 NUM_CPU="$(getconf _NPROCESSORS_ONLN 2>/dev/null || nproc 2>/dev/null || echo 0)"
 GOMAXPROCS_V="${GOMAXPROCS:-$NUM_CPU}"
+export GOMAXPROCS="$GOMAXPROCS_V"
 TOPO="{\"goos\": \"${GOOS_V}\", \"goarch\": \"${GOARCH_V}\", \"num_cpu\": ${NUM_CPU}, \"gomaxprocs\": ${GOMAXPROCS_V}}"
 
 # BenchmarkRouteBalls* (old per-ball routing vs the block-wise

@@ -9,8 +9,11 @@
 # BOTH files:
 #   - ns_per_op regresses by more than tolerance_pct percent (default 25,
 #     also settable via BENCH_TOLERANCE_PCT), or
-#   - allocs_per_op increases at all (allocation count is deterministic,
-#     so any increase is a real regression, not noise).
+#   - allocs_per_op increases at all (allocation count is deterministic
+#     for a fixed GOMAXPROCS, so any increase is a real regression, not
+#     noise) — checked only when both files record the same
+#     _topology.gomaxprocs, because a few allocations (worker and
+#     routing-group counts) follow GOMAXPROCS.
 # Benchmarks present in only one file WARN and never fail: new
 # benchmarks have no baseline to regress against, and retired ones no
 # current number — both are expected while the suite grows PR over PR.
@@ -18,8 +21,9 @@
 # When both files carry a "_topology" entry (bench.sh records
 # GOOS/GOARCH, CPU count and GOMAXPROCS) and they differ, a warning is
 # printed: ns/op comparisons across differing boxes are indicative
-# only, not grounds for a verdict. The comparison still runs — the
-# allocs/op check remains machine-independent.
+# only, not grounds for a verdict. The ns/op comparison still runs; the
+# allocs/op check runs only when both GOMAXPROCS values are recorded
+# and equal (otherwise the counts are printed, not judged).
 set -eu
 
 if [ $# -lt 2 ]; then
@@ -46,6 +50,16 @@ if [ "$base_topo" != "$cur_topo" ]; then
 	echo "WARN  ns/op deltas across differing boxes are indicative only"
 fi
 
+# The allocs/op fence compares like with like: same GOMAXPROCS.
+base_procs=$(jq -r '."_topology".gomaxprocs // "unrecorded"' "$BASE")
+cur_procs=$(jq -r '."_topology".gomaxprocs // "unrecorded"' "$CUR")
+allocs_fence=0
+if [ "$base_procs" != unrecorded ] && [ "$base_procs" = "$cur_procs" ]; then
+	allocs_fence=1
+else
+	echo "WARN  GOMAXPROCS differs (baseline $base_procs, current $cur_procs): allocs/op shown, not compared"
+fi
+
 fail=0
 for name in $(jq -r 'keys[] | select(. != "_topology")' "$BASE"); do
 	if ! jq -e --arg n "$name" 'has($n)' "$CUR" >/dev/null; then
@@ -65,7 +79,7 @@ for name in $(jq -r 'keys[] | select(. != "_topology")' "$BASE"); do
 			continue
 		fi
 	fi
-	if [ -n "$base_allocs" ] && [ -n "$cur_allocs" ]; then
+	if [ "$allocs_fence" -eq 1 ] && [ -n "$base_allocs" ] && [ -n "$cur_allocs" ]; then
 		if awk -v b="$base_allocs" -v c="$cur_allocs" 'BEGIN { exit !(c > b) }'; then
 			printf 'FAIL  %s: allocs/op %s -> %s (any increase fails)\n' "$name" "$base_allocs" "$cur_allocs"
 			fail=1
