@@ -16,8 +16,8 @@ import (
 )
 
 // leakCheck snapshots the goroutine count; the returned func fails the
-// test if the count has not settled back to the baseline — a worker,
-// orchestrator or canceller watcher stranded by an error path.
+// test if the count has not settled back to the baseline — a worker or
+// orchestrator stranded by an error path.
 func leakCheck(t *testing.T) func() {
 	t.Helper()
 	before := runtime.NumGoroutine()
@@ -88,7 +88,10 @@ func TestRunCancelImmediate(t *testing.T) {
 // TestRunCancelPartialIsPrefix: the classic engine's cancelled partial
 // must be bit-identical to an uninterrupted run configured with exactly
 // CompletedReps repetitions — partial results are a prefix of the
-// deterministic model, not a best-effort snapshot.
+// deterministic model, not a best-effort snapshot. One worker makes the
+// cancelling PlaceBatch call land inside repetition 0, which completes
+// (repetitions are the classic engine's cancellation unit), so the
+// prefix is never empty.
 func TestRunCancelPartialIsPrefix(t *testing.T) {
 	defer leakCheck(t)()
 	a := largeArray(t, 300)
@@ -97,13 +100,10 @@ func TestRunCancelPartialIsPrefix(t *testing.T) {
 	factory := hookedFactory(func(call int64) {
 		if call == 3 {
 			cancel()
-			// Give the canceller's watcher time to latch the flag so
-			// later repetition boundaries observe it.
-			time.Sleep(20 * time.Millisecond)
 		}
 	})
 	res, err := Run(Config{
-		Array: a, Seed: 5, Reps: 64, Workers: 3, Placer: factory,
+		Array: a, Seed: 5, Reps: 64, Workers: 1, Placer: factory,
 		ObsOptions: ObsOptions{Checkpoints: []int64{500, 1000}},
 		Context:    ctx,
 	})
@@ -112,14 +112,11 @@ func TestRunCancelPartialIsPrefix(t *testing.T) {
 		t.Fatalf("err = %v, want *CancelledError", err)
 	}
 	k := cerr.CompletedReps
-	if k < 0 || k >= 64 {
-		t.Fatalf("completed reps %d out of range [0, 64)", k)
+	if k < 1 || k >= 64 {
+		t.Fatalf("completed reps %d out of range [1, 64)", k)
 	}
 	if res.MaxLoad.N() != int64(k) {
 		t.Fatalf("partial aggregates %d observations, CompletedReps %d", res.MaxLoad.N(), k)
-	}
-	if k == 0 {
-		t.Skip("cancelled before the first repetition; nothing to compare")
 	}
 	want, err := Run(Config{
 		Array: a, Seed: 5, Reps: k, Workers: 3, Placer: hookedFactory(func(int64) {}),
@@ -180,9 +177,6 @@ func TestRunLargeCancelCheckpointPrefix(t *testing.T) {
 	cancelled.Placer = hookedFactory(func(call int64) {
 		if call == 2 {
 			cancel()
-			// Give the canceller's watcher goroutine time to latch the
-			// flag so the remaining placement segments observe it.
-			time.Sleep(20 * time.Millisecond)
 		}
 	})
 	// The baseline must use the same wrapped factory type so the rows
@@ -199,7 +193,7 @@ func TestRunLargeCancelCheckpointPrefix(t *testing.T) {
 	res, err := RunLarge(cancelled)
 	var cerr *CancelledError
 	if !errors.As(err, &cerr) {
-		t.Skipf("run completed before the cancellation latched (err = %v)", err)
+		t.Fatalf("err = %v, want *CancelledError", err)
 	}
 	done := cerr.CompletedCuts
 	if done < 0 || done > len(cuts) {
@@ -325,7 +319,7 @@ func TestRunLargeMonteContextCancel(t *testing.T) {
 	})
 	var cerr *CancelledError
 	if !errors.As(err, &cerr) {
-		t.Skipf("run completed before the cancellation latched (err = %v)", err)
+		t.Fatalf("err = %v, want *CancelledError", err)
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cause chain %v does not include context.Canceled", err)
@@ -335,6 +329,106 @@ func TestRunLargeMonteContextCancel(t *testing.T) {
 	}
 	if res.MaxLoad.N() != int64(cerr.CompletedReps) {
 		t.Fatalf("aggregates %d observations, CompletedReps %d", res.MaxLoad.N(), cerr.CompletedReps)
+	}
+}
+
+// cancelAtCall returns a placer factory that counts PlaceBatch calls
+// into calls and, when cancelAt > 0, fires cancel at that call.
+func cancelAtCall(calls *atomic.Int64, cancelAt int64, cancel context.CancelFunc) protocol.Factory {
+	return hookedFactory(func(int64) {
+		if calls.Add(1) == cancelAt {
+			cancel()
+		}
+	})
+}
+
+// TestStreamContextCancelMidRun: a context fired inside round k's first
+// PlaceBatch call abandons round k at the phase barrier, so the partial
+// is exactly the committed k-round prefix — DeepEqual to a Rounds = k
+// run with its final state cleared — whatever the worker count. The
+// reference run arms a context that never fires, so placement strides
+// as in the cancelled run and its call count locates round k's first
+// call.
+func TestStreamContextCancelMidRun(t *testing.T) {
+	defer leakCheck(t)()
+	const k = 2
+	for _, workers := range []int{1, 3} {
+		live, stop := context.WithCancel(context.Background())
+		var before atomic.Int64
+		short := streamMatrixConfig(t, workers)
+		short.Rounds, short.Context = k, live
+		short.Placer = cancelAtCall(&before, 0, nil)
+		want, err := runStream(short)
+		stop()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.MaxLoad, want.AvgLoad, want.Deviation = 0, 0, 0
+		want.HeightCounts, want.Array = nil, nil
+
+		ctx, cancel := context.WithCancel(context.Background())
+		var calls atomic.Int64
+		cfg := streamMatrixConfig(t, workers)
+		cfg.Context = ctx
+		cfg.Placer = cancelAtCall(&calls, before.Load()+1, cancel)
+		got, err := runStream(cfg)
+		cancel()
+		var cerr *CancelledError
+		if !errors.As(err, &cerr) || !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want a context-caused *CancelledError", workers, err)
+		}
+		if cerr.CompletedRounds != k {
+			t.Fatalf("workers=%d: completed rounds = %d, want %d", workers, cerr.CompletedRounds, k)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: partial differs from a Rounds=%d run:\n got  %+v\n want %+v", workers, k, got, want)
+		}
+	}
+}
+
+// TestClusterContextCancelMidRun is the cluster engine's version: a
+// context fired inside tick k's first PlaceBatch call, under churn,
+// retries and shedding, leaves a partial DeepEqual to a Ticks = k run
+// with its final state cleared.
+func TestClusterContextCancelMidRun(t *testing.T) {
+	defer leakCheck(t)()
+	const k = 7
+	churn, retry := stressPlan()
+	config := func(workers int, ctx context.Context, f protocol.Factory) ClusterConfig {
+		return ClusterConfig{
+			Array: clusterArray(t, 4, 1, 6, 2, 8, 3, 5, 7, 2, 4), Ticks: 20, Arrivals: 25,
+			Seed: 5, Shards: 4, Workers: workers, Churn: churn, Retry: retry, ShedThreshold: 3,
+			ObsOptions: ObsOptions{Checkpoints: []int64{3, 6, 9, 20}},
+			Context:    ctx, Placer: f,
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		live, stop := context.WithCancel(context.Background())
+		var before atomic.Int64
+		short := config(workers, live, cancelAtCall(&before, 0, nil))
+		short.Ticks = k
+		want, err := runCluster(short)
+		stop()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.MaxQueueLoad, want.AvgQueueLoad = 0, 0
+		want.HeightCounts, want.Array = nil, nil
+
+		ctx, cancel := context.WithCancel(context.Background())
+		var calls atomic.Int64
+		got, err := runCluster(config(workers, ctx, cancelAtCall(&calls, before.Load()+1, cancel)))
+		cancel()
+		var cerr *CancelledError
+		if !errors.As(err, &cerr) || !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want a context-caused *CancelledError", workers, err)
+		}
+		if cerr.CompletedTicks != k {
+			t.Fatalf("workers=%d: completed ticks = %d, want %d", workers, cerr.CompletedTicks, k)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: partial differs from a Ticks=%d run:\n got  %+v\n want %+v", workers, k, got, want)
+		}
 	}
 }
 

@@ -87,7 +87,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/bins"
 	"repro/internal/chash"
@@ -285,7 +284,6 @@ type retryEntry struct {
 type clusterState struct {
 	shardedBase
 	cfg    *ClusterConfig
-	cc     *canceller
 	n      int
 	shards int
 	seed   uint64
@@ -322,13 +320,7 @@ type clusterState struct {
 	groups []routeGroup
 	counts []int64
 
-	cuts     []int64
-	nCuts    int
-	nextCut  int
-	cp       *obs.Checkpoints
-	trackRow []float64
-	trackMat [][]float64
-	maxOut   []float64
+	cuts roundCuts
 
 	pool phasePool
 	run  phaseRunner
@@ -371,8 +363,6 @@ func runCluster(cfg ClusterConfig) (*ClusterResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	cc := newCanceller(cfg.Context)
-	defer cc.stop()
 	// Global stream 0: ring construction. The vnode positions are the
 	// only randomness membership ever consumes — churn splices cached
 	// points, so a crash/recover cycle is RNG-free.
@@ -395,7 +385,6 @@ func runCluster(cfg ClusterConfig) (*ClusterResult, error) {
 	st := &clusterState{
 		shardedBase: base,
 		cfg:         &cfg,
-		cc:          cc,
 		n:           n,
 		shards:      shards,
 		seed:        cfg.Seed,
@@ -426,7 +415,8 @@ func runCluster(cfg ClusterConfig) (*ClusterResult, error) {
 
 	st.counts = make([]int64, shards)
 	st.aport = make([]int64, shards)
-	st.ap = apportion{rem: make([]float64, shards), idx: make([]int, 0, shards)}
+	st.ap = newApportion(shards)
+	st.cuts = newRoundCuts(cfg.Checkpoints, cfg.Ticks, shards)
 	st.dirty = make([]bool, shards)
 	st.rands = make([]xrand.Rand, shards)
 	st.views = make([]*bins.Array, shards)
@@ -459,20 +449,10 @@ func runCluster(cfg ClusterConfig) (*ClusterResult, error) {
 		st.dirty[s] = true // initial build: every placer
 	}
 
-	cuts, _ := obs.NormalizeCuts(cfg.Checkpoints) // validated above
-	st.cuts = cuts
-	st.nCuts = obs.CountReached(cuts, int64(cfg.Ticks))
-	if len(cuts) > 0 {
-		st.cp = obs.NewCheckpoints(cuts)
-	}
-	st.trackRow = make([]float64, shards)
-	st.trackMat = [][]float64{st.trackRow}
-	st.maxOut = make([]float64, 1)
-
 	st.pool.start(min(base.workers, max(shards, rg)))
 	defer st.pool.stop()
-	st.run = phaseRunner{pool: &st.pool, engine: engRunCluster, names: clusterTaskNames, tasks: st}
-	return st.orchestrate(cfg.Ticks)
+	st.run = phaseRunner{pool: &st.pool, cc: newCanceller(cfg.Context), engine: engRunCluster, names: clusterTaskNames, tasks: st}
+	return runRounds[*ClusterResult](&st.run, st, clusterTaskSetup, shards, cfg.Ticks, cfg.CancelAfterTicks)
 }
 
 // do is the engine's task switch for its phase runner (pool.go). Task
@@ -485,26 +465,20 @@ func (st *clusterState) do(kind, s int) error {
 		return st.setupShard(s)
 	case clusterTaskRoute:
 		st.groups[s].reset()
-		st.groups[s].route(st.cc, engRunCluster, st.tick, st.rrbase, st.router, st.curM, s, st.rgr, nil, nil)
+		st.groups[s].route(&st.run, st.rrbase, st.router, st.curM, s, st.rgr, nil, nil)
 	case clusterTaskPlace:
 		if st.counts[s] > 0 {
 			tick := int32(st.tick)
 			st.placeCohort(s, tick, tick, 0, st.counts[s])
 		}
-	case clusterTaskRedist:
+	case clusterTaskRedist, clusterTaskRetry:
 		if len(st.work[s]) > 0 {
 			if fault.Enabled {
-				fault.Hit(fault.Site{Engine: engRunCluster, Op: fault.OpReshard, Rep: st.tick, Shard: s, Block: -1})
-			}
-			for _, it := range st.work[s] {
-				st.placeCohort(s, it.disp, it.orig, it.att, it.count)
-			}
-			st.work[s] = st.work[s][:0]
-		}
-	case clusterTaskRetry:
-		if len(st.work[s]) > 0 {
-			if fault.Enabled {
-				fault.Hit(fault.Site{Engine: engRunCluster, Op: fault.OpRetry, Rep: st.tick, Shard: s, Block: -1})
+				op := fault.OpReshard
+				if kind == clusterTaskRetry {
+					op = fault.OpRetry
+				}
+				fault.Hit(fault.Site{Engine: engRunCluster, Op: op, Rep: st.tick, Shard: s, Block: -1})
 			}
 			for _, it := range st.work[s] {
 				st.placeCohort(s, it.disp, it.orig, it.att, it.count)
@@ -516,7 +490,7 @@ func (st *clusterState) do(kind, s int) error {
 	case clusterTaskExpire:
 		st.expireShard(s)
 	case clusterTaskObserve:
-		st.trackRow[s] = st.views[s].MaxLoad()
+		st.cuts.observeShard(st.views, s)
 	}
 	return nil
 }
@@ -557,7 +531,7 @@ func (st *clusterState) placeCohort(s int, disp, orig int32, att int16, count in
 	for i := range b {
 		b[i] = view.Balls(i)
 	}
-	placeSegment(st.cc, engRunCluster, st.tick, s, st.placers[s], view, &st.rands[s], count)
+	placeSegment(&st.run, s, st.placers[s], view, &st.rands[s], count)
 	for i := range b {
 		if d := view.Balls(i) - b[i]; d > 0 {
 			st.queues[lo+i] = append(st.queues[lo+i], cohort{disp: disp, orig: orig, att: att, count: d})
@@ -642,7 +616,7 @@ func (st *clusterState) crash(t, p int) bool {
 		fault.Hit(fault.Site{Engine: engRunCluster, Op: fault.OpCrash, Rep: t, Shard: p, Block: -1})
 	}
 	if err := st.ring.RemovePeer(p); err != nil {
-		panic(err) // state mirrors ring liveness; contained by churnStep
+		panic(err) // state mirrors ring liveness; contained by the "churn" step
 	}
 	st.live[p] = false
 	st.nLive--
@@ -671,14 +645,8 @@ func (st *clusterState) revive(t, p int) bool {
 // churnStep applies tick t's membership changes: scheduled events
 // first, then one Bernoulli draw per peer (in peer order, consumed
 // whether or not it applies) from the tick's churn substream. It runs
-// on the orchestrator behind its own recover.
-func (st *clusterState) churnStep(t int) (crashed []int, recovered int, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			crashed, recovered = nil, 0
-			err = fmt.Errorf("sim: RunCluster churn: %w", newPanicError(engRunCluster, "churn", t, -1, r))
-		}
-	}()
+// on the orchestrator as the runner's serial step "churn".
+func (st *clusterState) churnStep(t int) (crashed []int, recovered int) {
 	crashed = st.crashedScratch[:0]
 	sched := st.cfg.Churn.Schedule
 	for st.nextEv < len(sched) && sched[st.nextEv].Tick <= t {
@@ -709,21 +677,17 @@ func (st *clusterState) churnStep(t int) (crashed []int, recovered int, err erro
 		}
 	}
 	st.crashedScratch = crashed[:0]
-	return crashed, recovered, nil
+	return crashed, recovered
 }
 
 // reshardPlan recomputes routing after churn: fresh arc weights from
 // the spliced ring, per-shard weight sums, a rebuilt multinomial
 // router, and dirty marks on exactly the shards whose weight slice
-// changed. Orchestrator-side, behind its own recover.
-func (st *clusterState) reshardPlan(t int) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("sim: RunCluster reshard: %w", newPanicError(engRunCluster, "reshard", t, -1, r))
-		}
-	}()
+// changed. It runs on the orchestrator as the runner's serial step
+// "reshard".
+func (st *clusterState) reshardPlan() error {
 	if fault.Enabled {
-		fault.Hit(fault.Site{Engine: engRunCluster, Op: fault.OpReshard, Rep: t, Shard: -1, Block: -1})
+		fault.Hit(fault.Site{Engine: engRunCluster, Op: fault.OpReshard, Rep: st.tick, Shard: -1, Block: -1})
 	}
 	st.weights = st.ring.ArcLengthsInto(st.weights)
 	for i := 0; i < st.n; i++ {
@@ -751,17 +715,12 @@ func (st *clusterState) reshardPlan(t int) (err error) {
 
 // admission is the shedding step: of the tick's arrivals, admit what
 // fits under threshold × live capacity given the current occupancy and
-// shed the rest. Orchestrator-side, behind its own recover so an
-// injected OpShed fault surfaces as a provenance error.
-func (st *clusterState) admission(t int, arrived int64, th float64) (admit, shed int64, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			admit, shed = 0, 0
-			err = fmt.Errorf("sim: RunCluster admission: %w", newPanicError(engRunCluster, "shed", t, -1, r))
-		}
-	}()
+// shed the rest. It runs on the orchestrator as the runner's serial
+// step "shed", so an injected OpShed fault surfaces as a provenance
+// error.
+func (st *clusterState) admission(arrived int64, th float64) (admit, shed int64) {
 	if fault.Enabled {
-		fault.Hit(fault.Site{Engine: engRunCluster, Op: fault.OpShed, Rep: t, Shard: -1, Block: -1})
+		fault.Hit(fault.Site{Engine: engRunCluster, Op: fault.OpShed, Rep: st.tick, Shard: -1, Block: -1})
 	}
 	admit = arrived
 	room := int64(math.Floor(th*float64(st.liveCap))) - st.liveQ
@@ -772,48 +731,18 @@ func (st *clusterState) admission(t int, arrived int64, th float64) (admit, shed
 		admit = room
 		shed = arrived - admit
 	}
-	return admit, shed, nil
+	return admit, shed
 }
 
-// apportionLive splits m balls over the live shard weights by largest
-// remainder — floor quotas, then one extra per candidate in
-// descending-residue order (ties by shard index) — the PR 8 rebalance
-// rule: deterministic, integer-exact, no RNG.
-func (st *clusterState) apportionLive(m int64, out []int64) {
-	clear(out)
-	if m == 0 || st.sumW <= 0 {
-		return
-	}
-	st.ap.idx = st.ap.idx[:0]
-	var assigned int64
-	for s := 0; s < st.shards; s++ {
-		if st.shardW[s] <= 0 {
-			continue
-		}
-		ideal := float64(m) * st.shardW[s] / st.sumW
-		q := math.Floor(ideal)
-		out[s] = int64(q)
-		st.ap.rem[s] = ideal - q
-		assigned += int64(q)
-		st.ap.idx = append(st.ap.idx, s)
-	}
-	if len(st.ap.idx) == 0 {
-		return
-	}
-	sort.Sort(&st.ap)
-	k := len(st.ap.idx)
-	for r := m - assigned; r > 0; {
-		for j := 0; j < k && r > 0; j++ {
-			out[st.ap.idx[j]]++
-			r--
-		}
-	}
-	for r := assigned - m; r > 0; {
-		for j := k - 1; j >= 0 && r > 0; j-- {
-			if out[st.ap.idx[j]] > 0 {
-				out[st.ap.idx[j]]--
-				r--
-			}
+// spread splits cohort c over the live shard weights by largest
+// remainder (apportion.split, the streaming engine's rebalance rule)
+// onto the per-shard work lists.
+func (st *clusterState) spread(c cohort) {
+	st.ap.split(c.count, st.shardW, st.sumW, st.aport)
+	for s, cnt := range st.aport {
+		if cnt > 0 {
+			c.count = cnt
+			st.work[s] = append(st.work[s], c)
 		}
 	}
 }
@@ -831,12 +760,7 @@ func (st *clusterState) redistribute(crashed []int) (int64, error) {
 		s := int(st.peerShard[p])
 		for _, c := range q {
 			st.views[s].RemoveBalls(p-st.bounds[s], c.count)
-			st.apportionLive(c.count, st.aport)
-			for s2, cnt := range st.aport {
-				if cnt > 0 {
-					st.work[s2] = append(st.work[s2], cohort{disp: c.disp, orig: c.orig, att: c.att, count: cnt})
-				}
-			}
+			st.spread(c)
 			moved += c.count
 		}
 	}
@@ -849,37 +773,10 @@ func (st *clusterState) redistribute(crashed []int) (int64, error) {
 	return moved, nil
 }
 
-// orchestrate runs the setup phase and then the ticks, committing the
-// completed-tick prefix as it goes.
-func (st *clusterState) orchestrate(ticks int) (*ClusterResult, error) {
-	if err := st.run.runPhase(clusterTaskSetup, st.shards, "setup shard"); err != nil {
-		return nil, err
-	}
-	if st.cc.cancelled() {
-		return st.partial(st.cc.err())
-	}
-	for t := 0; t < ticks; t++ {
-		ok, err := st.runTick(t)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return st.partial(st.cc.err())
-		}
-		if ca := st.cfg.CancelAfterTicks; ca > 0 && st.ticksDone == ca && st.ticksDone < ticks {
-			return st.partial(nil)
-		}
-	}
-	return st.final()
-}
-
-// runTick executes tick t. ok == false means the tick was abandoned at
-// a cancellation point — nothing of it is committed.
-func (st *clusterState) runTick(t int) (ok bool, err error) {
-	if st.cc.cancelled() {
-		return false, nil
-	}
-	st.tick, st.run.rep = t, t
+// step executes tick t. A failed or abandoned phase returns its error
+// before the commit, so nothing of the tick is committed.
+func (st *clusterState) step(t int) error {
+	st.tick = t
 	st.tbase = 1 + uint64(t)*st.kk
 	// Placement streams are re-seeded for EVERY shard at the start of
 	// every tick, so a shard's draws depend only on (seed, tick,
@@ -889,31 +786,26 @@ func (st *clusterState) runTick(t int) (ok bool, err error) {
 	}
 
 	// Phase 1 — churn + incremental re-shard + redistribution.
-	crashed, recovered, err := st.churnStep(t)
-	if err != nil {
-		return false, err
+	var crashed []int
+	var recovered int
+	if err := st.run.serial("churn", "churn", func() error {
+		crashed, recovered = st.churnStep(t)
+		return nil
+	}); err != nil {
+		return err
 	}
 	tickLive := st.nLive
 	var movedT int64
 	if len(crashed) > 0 || recovered > 0 {
-		if err := st.reshardPlan(t); err != nil {
-			return false, err
-		}
-		if st.cc.cancelled() {
-			return false, nil
+		if err := st.run.serial("reshard", "reshard", st.reshardPlan); err != nil {
+			return err
 		}
 		if err := st.run.runPhase(clusterTaskSetup, st.shards, "setup shard"); err != nil {
-			return false, err
+			return err
 		}
-		if st.cc.cancelled() {
-			return false, nil
-		}
-		movedT, err = st.redistribute(crashed)
-		if err != nil {
-			return false, err
-		}
-		if st.cc.cancelled() {
-			return false, nil
+		var err error
+		if movedT, err = st.redistribute(crashed); err != nil {
+			return err
 		}
 	}
 
@@ -923,9 +815,11 @@ func (st *clusterState) runTick(t int) (ok bool, err error) {
 	admitT := arrivedT
 	var shedT int64
 	if th := st.cfg.ShedThreshold; th > 0 {
-		admitT, shedT, err = st.admission(t, arrivedT, th)
-		if err != nil {
-			return false, err
+		if err := st.run.serial("shed", "admission", func() error {
+			admitT, shedT = st.admission(arrivedT, th)
+			return nil
+		}); err != nil {
+			return err
 		}
 	}
 
@@ -936,17 +830,11 @@ func (st *clusterState) runTick(t int) (ok bool, err error) {
 		st.rrbase = xrand.Mix64(st.seed, st.tbase+1)
 		st.rgr = min(len(st.groups), numRouteBlocks(admitT))
 		if err := st.run.runPhase(clusterTaskRoute, st.rgr, "routing group"); err != nil {
-			return false, err
-		}
-		if st.cc.cancelled() {
-			return false, nil
+			return err
 		}
 		mergeRouteGroups(st.groups[:st.rgr], st.counts, nil)
 		if err := st.run.runPhase(clusterTaskPlace, st.shards, "shard"); err != nil {
-			return false, err
-		}
-		if st.cc.cancelled() {
-			return false, nil
+			return err
 		}
 		st.liveQ += admitT
 	}
@@ -960,30 +848,19 @@ func (st *clusterState) runTick(t int) (ok bool, err error) {
 	if due := st.retryQ[t]; len(due) > 0 {
 		delete(st.retryQ, t)
 		for _, e := range due {
-			st.apportionLive(e.count, st.aport)
-			for s, cnt := range st.aport {
-				if cnt > 0 {
-					st.work[s] = append(st.work[s], cohort{disp: int32(t), orig: e.orig, att: e.att, count: cnt})
-				}
-			}
+			st.spread(cohort{disp: int32(t), orig: e.orig, att: e.att, count: e.count})
 			retriedT += e.count
 		}
 		st.pendingRetry -= retriedT
 		if err := st.run.runPhase(clusterTaskRetry, st.shards, "retry shard"); err != nil {
-			return false, err
-		}
-		if st.cc.cancelled() {
-			return false, nil
+			return err
 		}
 		st.liveQ += retriedT
 	}
 
 	// Phase 5 — service.
 	if err := st.run.runPhase(clusterTaskServe, st.shards, "service shard"); err != nil {
-		return false, err
-	}
-	if st.cc.cancelled() {
-		return false, nil
+		return err
 	}
 	var doneT int64
 	for s := 0; s < st.shards; s++ {
@@ -997,10 +874,7 @@ func (st *clusterState) runTick(t int) (ok bool, err error) {
 	var timedOutT, failedT int64
 	if st.cfg.Retry.TimeoutTicks > 0 {
 		if err := st.run.runPhase(clusterTaskExpire, st.shards, "timeout shard"); err != nil {
-			return false, err
-		}
-		if st.cc.cancelled() {
-			return false, nil
+			return err
 		}
 		for s := 0; s < st.shards; s++ {
 			for _, e := range st.expired[s] {
@@ -1020,16 +894,8 @@ func (st *clusterState) runTick(t int) (ok bool, err error) {
 
 	// Phase 7 — observation: a cut at tick t+1 snapshots queue
 	// occupancy and max queue-relative load before the commit.
-	if st.nextCut < st.nCuts && st.cuts[st.nextCut] == int64(t)+1 {
-		if err := st.run.runPhase(clusterTaskObserve, st.shards, "observe shard"); err != nil {
-			return false, err
-		}
-		if st.cc.cancelled() {
-			return false, nil
-		}
-		combineShardMaxima(st.trackMat, st.maxOut)
-		st.cp.Observe(st.nextCut, st.liveQ, st.totalCap, st.maxOut[0])
-		st.nextCut++
+	if err := st.cuts.observe(&st.run, clusterTaskObserve, t, st.liveQ, st.totalCap); err != nil {
+		return err
 	}
 
 	// Commit: the tick is now part of the result prefix. Latency folds
@@ -1049,12 +915,12 @@ func (st *clusterState) runTick(t int) (ok bool, err error) {
 	st.livePerTick = append(st.livePerTick, tickLive)
 	for s := 0; s < st.shards; s++ {
 		if err := st.lat.Merge(st.svcLat[s]); err != nil {
-			return false, err
+			return err
 		}
 	}
 	st.cQueued = st.liveQ
 	st.cPending = st.pendingRetry
-	return true, nil
+	return nil
 }
 
 // partialResult builds the committed-prefix result every exit shares.
@@ -1086,9 +952,7 @@ func (st *clusterState) partialResult() *ClusterResult {
 		}
 		res.Availability = float64(liveSum) / float64(int64(st.n)*int64(st.ticksDone))
 	}
-	if st.cp != nil {
-		res.Checkpoints = st.cp.Rows()
-	}
+	res.Checkpoints = st.cuts.rows()
 	return res
 }
 
@@ -1099,7 +963,7 @@ func (st *clusterState) partial(cause error) (*ClusterResult, error) {
 	return st.partialResult(), &CancelledError{
 		Engine:          engRunCluster,
 		CompletedReps:   -1,
-		CompletedCuts:   st.nextCut,
+		CompletedCuts:   st.cuts.next,
 		CompletedRounds: -1,
 		CompletedTicks:  st.ticksDone,
 		Cause:           cause,

@@ -5,15 +5,17 @@
 //
 // Every engine config carries an optional context.Context. Cancellation
 // is checked at task boundaries — one classic repetition, one routing
-// block, one RoutingBlock-sized placement stride — so cancellation
-// latency is bounded by one block of work, while the no-context hot
-// path keeps its exact pre-existing instruction stream (the checks sit
-// behind a nil canceller). A cancelled run returns a typed
-// *CancelledError AND a deterministic partial result: the partial is a
-// prefix of the engine's deterministic model (completed repetitions,
-// completed checkpoint cuts), so its content is bit-identical to the
-// corresponding prefix of an uninterrupted run — only WHICH prefix you
-// get depends on timing.
+// block, one RoutingBlock-sized placement stride — and, for the
+// sharded engines, by the phase runner at every phase start and
+// barrier (pool.go), so cancellation latency is bounded by one block
+// of work, while the no-context hot path keeps its exact pre-existing
+// instruction stream (the checks sit behind a nil canceller). A
+// cancelled run returns a typed *CancelledError AND a deterministic
+// partial result: the partial is a prefix of the engine's
+// deterministic model (completed repetitions, completed checkpoint
+// cuts), so its content is bit-identical to the corresponding prefix
+// of an uninterrupted run — only WHICH prefix you get depends on
+// timing.
 //
 // # Panic containment
 //
@@ -32,7 +34,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sync/atomic"
 )
 
 // Engine names used in provenance (PanicError.Engine, fault.Site.Engine).
@@ -157,46 +158,39 @@ func newPanicError(engine, task string, rep, index int, v any) *PanicError {
 	return &PanicError{Engine: engine, Task: task, Rep: rep, Index: index, Value: v, Stack: debug.Stack()}
 }
 
-// canceller adapts a context to the single atomic flag the hot loops
-// poll. A nil *canceller means "cancellation not armed": the methods
-// are nil-receiver safe and collapse to a register test, so engines
-// pass the canceller unconditionally and pay nothing when no context
-// is configured.
+// canceller is the poll the hot loops and the phase runner share. It
+// caches the context's Done channel and polls it with a non-blocking
+// receive, so a cancel() is visible at the very next poll — also one
+// made inside a placer or a fault hook of the same run — and no watcher
+// goroutine exists. A nil *canceller means "cancellation not armed":
+// the methods are nil-receiver safe and collapse to a nil check, so
+// engines pass the canceller unconditionally and pay nothing when no
+// context is configured.
 type canceller struct {
-	flag  atomic.Bool
-	cause func() error // ctx.Err, read only after flag is set
-	done  chan struct{}
+	ctx  context.Context
+	done <-chan struct{}
 }
 
-// newCanceller arms cancellation for ctx; it returns nil (no watcher
-// goroutine, no checks) when ctx is nil or can never be cancelled.
-// The caller must stop() the returned canceller before returning so
-// the watcher goroutine never outlives the run.
+// newCanceller arms cancellation for ctx; it returns nil (no checks)
+// when ctx is nil or can never be cancelled.
 func newCanceller(ctx context.Context) *canceller {
 	if ctx == nil || ctx.Done() == nil {
 		return nil
 	}
-	c := &canceller{cause: ctx.Err, done: make(chan struct{})}
-	if ctx.Err() != nil {
-		// Already cancelled: latch synchronously (no watcher needed) so
-		// a run with a dead context deterministically stops at its first
-		// check. done stays open for the caller's deferred stop.
-		c.flag.Store(true)
-		return c
-	}
-	go func() {
-		select {
-		case <-ctx.Done():
-			c.flag.Store(true)
-		case <-c.done:
-		}
-	}()
-	return c
+	return &canceller{ctx: ctx, done: ctx.Done()}
 }
 
 // cancelled reports whether the context fired. Safe on a nil receiver.
 func (c *canceller) cancelled() bool {
-	return c != nil && c.flag.Load()
+	if c == nil {
+		return false
+	}
+	select {
+	case <-c.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // err returns the context's error once cancelled (nil otherwise).
@@ -204,13 +198,5 @@ func (c *canceller) err() error {
 	if !c.cancelled() {
 		return nil
 	}
-	return c.cause()
-}
-
-// stop releases the watcher goroutine. Safe on a nil receiver and
-// idempotent-enough for a single deferred call.
-func (c *canceller) stop() {
-	if c != nil {
-		close(c.done)
-	}
+	return c.ctx.Err()
 }

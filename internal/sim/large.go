@@ -50,6 +50,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -294,7 +295,6 @@ type largeRun struct {
 	shardedBase
 	pool               phasePool
 	run                phaseRunner
-	cc                 *canceller
 	seed, rbase        uint64
 	m                  int64
 	rg                 int
@@ -318,7 +318,7 @@ type largeRun struct {
 // do is RunLarge's task switch for its phase runner.
 func (l *largeRun) do(kind, idx int) error {
 	if kind == largeRoute {
-		l.groups[idx].route(l.cc, engRunLarge, 0, l.rbase, l.router, l.m, idx, l.rg, l.cutBlocks, l.cutRems)
+		l.groups[idx].route(&l.run, l.rbase, l.router, l.m, idx, l.rg, l.cutBlocks, l.cutRems)
 		return nil
 	}
 	return l.placeShard(idx)
@@ -339,7 +339,6 @@ func RunLarge(cfg LargeConfig) (*LargeResult, error) {
 		return nil, err
 	}
 	cc := newCanceller(cfg.Context)
-	defer cc.stop()
 	base, err := newDistBase(engRunLarge, cfg.Array, cfg.AdoptArray, cfg.Dist, cfg.Placer, shards, cfg.Workers)
 	if err != nil {
 		return nil, err
@@ -351,7 +350,6 @@ func RunLarge(cfg LargeConfig) (*LargeResult, error) {
 	nCuts := obs.CountReached(cuts, m)
 	l := &largeRun{
 		shardedBase: base,
-		cc:          cc,
 		seed:        cfg.Seed,
 		rbase:       xrand.Mix64(cfg.Seed, 0),
 		m:           m,
@@ -379,20 +377,21 @@ func RunLarge(cfg LargeConfig) (*LargeResult, error) {
 	// first, then per-shard placement.
 	l.pool.start(min(base.workers, max(shards, l.rg)))
 	defer l.pool.stop()
-	l.run = phaseRunner{pool: &l.pool, engine: engRunLarge, names: largeTaskNames, tasks: l}
+	l.run = phaseRunner{pool: &l.pool, cc: cc, engine: engRunLarge, names: largeTaskNames, tasks: l}
 
 	// Phase 1 — block-wise multinomial routing on stream 0 (see
 	// route.go): only the per-shard counts exist (plus, when
 	// checkpoints are requested, the per-cut routing prefixes),
 	// because within a shard the placement order is the shard's own
 	// affair.
-	if err := l.run.runPhase(largeRoute, l.rg, "routing group"); err != nil {
-		return nil, err
-	}
-	if cc.cancelled() {
+	err = l.run.runPhase(largeRoute, l.rg, "routing group")
+	if errors.Is(err, errAbandoned) {
 		// Routing did not complete: no counts, no cuts — the partial
 		// carries only the run's identity.
 		return l.partial(cuts, realized, 0, nil)
+	}
+	if err != nil {
+		return nil, err
 	}
 	mergeRouteGroups(l.groups, l.counts, l.prefix)
 	if nCuts > 0 {
@@ -424,10 +423,8 @@ func RunLarge(cfg LargeConfig) (*LargeResult, error) {
 	// workers produces identical bits. Placer construction (alias
 	// table builds, O(shard size)) runs inside the workers too: it
 	// reads only the shard's own weights slice and view.
-	if err := l.run.runPhase(largePlace, shards, "shard"); err != nil {
-		return nil, err
-	}
-	if cc.cancelled() {
+	err = l.run.runPhase(largePlace, shards, "shard")
+	if errors.Is(err, errAbandoned) {
 		// The array holds partially placed shards — inconsistent as a
 		// final state, but the checkpoint cuts every shard completed
 		// are exactly the rows an uninterrupted run would report: the
@@ -437,6 +434,9 @@ func RunLarge(cfg LargeConfig) (*LargeResult, error) {
 			done = slices.Min(l.cutsDone)
 		}
 		return l.partial(cuts, realized, done, l.counts)
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	res := &LargeResult{N: n, Shards: shards, Balls: m, ShardBalls: l.counts, Array: arr}
@@ -482,7 +482,7 @@ func (l *largeRun) partial(cuts, realized []int64, done int, shardBalls []int64)
 	if len(cuts) > 0 {
 		res.Checkpoints = l.checkpointRows(cuts[:done], realized, done)
 	}
-	return res, &CancelledError{Engine: engRunLarge, CompletedReps: -1, CompletedCuts: done, CompletedRounds: -1, CompletedTicks: -1, Cause: l.cc.err()}
+	return res, &CancelledError{Engine: engRunLarge, CompletedReps: -1, CompletedCuts: done, CompletedRounds: -1, CompletedTicks: -1, Cause: l.run.cc.err()}
 }
 
 // shardPlan computes the contiguous shard boundaries, each shard's
@@ -527,7 +527,7 @@ func (l *largeRun) placeShard(s int) error {
 			return err
 		}
 		rs := xrand.NewStream(l.seed, uint64(s)+1)
-		done, _ = placeShardSegments(l.cc, engRunLarge, 0, placer, view, rs, l.counts[s], s, l.prefix, l.track)
+		done, _ = placeShardSegments(&l.run, placer, view, rs, l.counts[s], s, l.prefix, l.track)
 	}
 	if l.cutsDone != nil {
 		l.cutsDone[s] = done
@@ -545,11 +545,11 @@ func (l *largeRun) placeShard(s int) error {
 // cancellation stride. It returns the number of fully completed cuts
 // and whether the whole count was placed (false only under
 // cancellation).
-func placeShardSegments(cc *canceller, eng string, rep int, placer protocol.Placer, view *bins.Array, rs *xrand.Rand, count int64, s int, cuts [][]int64, track [][]float64) (cutsDone int, ok bool) {
+func placeShardSegments(r *phaseRunner, placer protocol.Placer, view *bins.Array, rs *xrand.Rand, count int64, s int, cuts [][]int64, track [][]float64) (cutsDone int, ok bool) {
 	placed := int64(0)
 	for k := range cuts {
 		cut := cuts[k][s]
-		if !placeSegment(cc, eng, rep, s, placer, view, rs, cut-placed) {
+		if !placeSegment(r, s, placer, view, rs, cut-placed) {
 			return k, false
 		}
 		placed = cut
@@ -557,32 +557,34 @@ func placeShardSegments(cc *canceller, eng string, rep int, placer protocol.Plac
 			track[k][s] = view.MaxLoad()
 		}
 	}
-	if !placeSegment(cc, eng, rep, s, placer, view, rs, count-placed) {
+	if !placeSegment(r, s, placer, view, rs, count-placed) {
 		return len(cuts), false
 	}
 	return len(cuts), true
 }
 
-// placeSegment places one segment of a shard's balls. Without
+// placeSegment places one segment of shard s's balls. Without
 // cancellation (and in normal, non-faultinject builds) it is exactly
 // one PlaceBatch — the pre-existing hot path, untouched. With
 // cancellation armed it strides the segment in RoutingBlock-sized
-// sub-batches, polling the flag between strides: sub-segmenting never
-// moves a draw (the PlaceBatch additivity contract), so the placement
-// granularity of cancellation costs one flag load per 65536 balls and
-// zero allocations. Returns false when cancelled before finishing.
-func placeSegment(cc *canceller, eng string, rep, s int, placer protocol.Placer, view *bins.Array, rs *xrand.Rand, count int64) bool {
-	if cc == nil && !fault.Enabled {
+// sub-batches, polling the runner's canceller between strides:
+// sub-segmenting never moves a draw (the PlaceBatch additivity
+// contract), so the placement granularity of cancellation costs one
+// poll per 65536 balls and zero allocations. Fault sites carry the
+// runner's engine and rep. Returns false when cancelled before
+// finishing.
+func placeSegment(r *phaseRunner, s int, placer protocol.Placer, view *bins.Array, rs *xrand.Rand, count int64) bool {
+	if r.cc == nil && !fault.Enabled {
 		placer.PlaceBatch(view, rs, count)
 		return true
 	}
 	block := 0
 	for placed := int64(0); placed < count; block++ {
-		if cc.cancelled() {
+		if r.cc.cancelled() {
 			return false
 		}
 		if fault.Enabled {
-			fault.Hit(fault.Site{Engine: eng, Op: fault.OpPlace, Rep: rep, Shard: s, Block: block})
+			fault.Hit(fault.Site{Engine: r.engine, Op: fault.OpPlace, Rep: r.rep, Shard: s, Block: block})
 		}
 		n := count - placed
 		if n > RoutingBlock {

@@ -249,12 +249,11 @@ type monteRepState struct {
 	base   uint64 // stream base rep·(shards+1)
 	rbase  uint64 // Mix64(seed, base): the routing substream base
 	m      int64
-	rep    int
 	router *sampling.Multinomial
 
-	// cc is the run's shared canceller (nil when no Context); run the
-	// orchestrator's phase runner over the shared pool.
-	cc  *canceller
+	// run is the orchestrator's phase runner over the shared pool; it
+	// carries the run's shared canceller (nil when no Context) and the
+	// repetition being run (run.rep).
 	run phaseRunner
 
 	// Routing state: the orchestrator's routing groups (route.go),
@@ -369,13 +368,13 @@ func (st *monteRepState) do(kind, idx int) error {
 	case monteRoute:
 		rg := &st.routeGroups[idx]
 		rg.reset()
-		rg.route(st.cc, engRunLargeMC, st.rep, st.rbase, st.router, st.m, idx, len(st.routeGroups), st.cutBlocks, st.cutRems)
+		rg.route(&st.run, st.rbase, st.router, st.m, idx, len(st.routeGroups), st.cutBlocks, st.cutRems)
 	case monteReset:
 		if st.views[idx] == nil {
 			return nil
 		}
 		if fault.Enabled {
-			fault.Hit(fault.Site{Engine: engRunLargeMC, Op: fault.OpReset, Rep: st.rep, Shard: idx, Block: -1})
+			fault.Hit(fault.Site{Engine: engRunLargeMC, Op: fault.OpReset, Rep: st.run.rep, Shard: idx, Block: -1})
 		}
 		st.views[idx].Reset()
 	case montePlace:
@@ -400,7 +399,7 @@ func (st *monteRepState) do(kind, idx int) error {
 		// The shared segment schedule (placeShardSegments) is what
 		// keeps repetition 0 bit-identical to a checkpointed
 		// RunLarge. Segmentation never moves a draw.
-		placeShardSegments(st.cc, engRunLargeMC, st.rep, p, st.views[s], rs, st.counts[s], s, st.prefix, st.track)
+		placeShardSegments(&st.run, p, st.views[s], rs, st.counts[s], s, st.prefix, st.track)
 		if st.hists != nil {
 			// The shard's one-pass histogram, rebuilt over its own view
 			// while other shards are still placing. A zero-count shard
@@ -420,7 +419,7 @@ func (st *monteRepState) do(kind, idx int) error {
 		}
 	case monteSummary:
 		if fault.Enabled {
-			fault.Hit(fault.Site{Engine: engRunLargeMC, Op: fault.OpSummary, Rep: st.rep, Shard: -1, Block: -1})
+			fault.Hit(fault.Site{Engine: engRunLargeMC, Op: fault.OpSummary, Rep: st.run.rep, Shard: -1, Block: -1})
 		}
 		if st.hists != nil {
 			// Shard-order merge: exact integer addition, so the result
@@ -458,26 +457,22 @@ func (st *monteRepState) do(kind, idx int) error {
 // parent-array methods, which the bins.Shard contract forbids while
 // views mutate).
 //
-// It returns ok = false when the repetition was abandoned because the
-// run's context fired (the state is then never read again — every
-// later repetition of this orchestrator is skipped too), and a non-nil
-// err when a pool task of this repetition failed.
-func (st *monteRepState) runRep(seed, rep uint64, shards int, m int64, router *sampling.Multinomial) (ok bool, err error) {
+// It returns errAbandoned when the repetition was abandoned because
+// the run's context fired (the state is then never read again — every
+// later repetition of this orchestrator is skipped too), and a task's
+// error when a pool task of this repetition failed.
+func (st *monteRepState) runRep(seed, rep uint64, shards int, m int64, router *sampling.Multinomial) error {
 	st.seed = seed
-	st.rep = int(rep)
 	st.run.rep = int(rep)
 	st.base = rep * uint64(shards+1)
 	st.rbase = xrand.Mix64(seed, st.base)
 	st.m = m
 	st.router = router
 	if _, err := st.run.dispatch(monteRoute, len(st.routeGroups)); err != nil {
-		return false, err
+		return err
 	}
 	if _, err := st.run.dispatch(monteReset, shards); err != nil {
-		return false, err
-	}
-	if st.cc.cancelled() {
-		return false, nil
+		return err
 	}
 	// Folding the groups is O(groups·shards·cuts) — orchestrator-side
 	// bookkeeping, not pool work.
@@ -491,15 +486,10 @@ func (st *monteRepState) runRep(seed, rep uint64, shards int, m int64, router *s
 	clear(st.shardMax)
 
 	if _, err := st.run.dispatch(montePlace, shards); err != nil {
-		return false, err
+		return err
 	}
-	if st.cc.cancelled() {
-		return false, nil
-	}
-	if _, err := st.run.dispatch(monteSummary, 1); err != nil {
-		return false, err
-	}
-	return true, nil
+	_, err := st.run.dispatch(monteSummary, 1)
+	return err
 }
 
 // RunLargeMonte executes cfg.Reps repetitions of the sharded single-run
@@ -524,7 +514,6 @@ func RunLargeMonte(cfg LargeMonteConfig) (*LargeMonteResult, error) {
 		return nil, fmt.Errorf("sim: RunLargeMonte CancelAfterReps = %d, need >= 0", cfg.CancelAfterReps)
 	}
 	cc := newCanceller(cfg.Context)
-	defer cc.stop()
 
 	// The shard plan (boundaries, per-shard weights, routing table) is
 	// shared read-only across repetitions: AliasTable.Sample only reads
@@ -636,8 +625,7 @@ func RunLargeMonte(cfg LargeMonteConfig) (*LargeMonteResult, error) {
 			}()
 			st, serr := newMonteRepState(master, base.weights, base.bounds, base.shardW, base.factory, &cfg, cuts, routeWidth, cutBlocks, cutRems, protoHist)
 			if serr == nil {
-				st.cc = cc
-				st.run = phaseRunner{pool: &pool, engine: engRunLargeMC, names: monteTaskNames, tasks: st}
+				st.run = phaseRunner{pool: &pool, cc: cc, engine: engRunLargeMC, names: monteTaskNames, tasks: st}
 			}
 			// One fold body per orchestrator, not per repetition: it
 			// snapshots whatever st holds when its repetition's turn
@@ -688,7 +676,7 @@ func RunLargeMonte(cfg LargeMonteConfig) (*LargeMonteResult, error) {
 					agg.fold(rep, func(ag *monteAgg) { ag.err = err })
 					continue
 				}
-				if rep >= stop || cc.cancelled() {
+				if rep >= stop {
 					agg.foldCancelled(rep)
 					continue
 				}
@@ -696,14 +684,13 @@ func RunLargeMonte(cfg LargeMonteConfig) (*LargeMonteResult, error) {
 					agg.fold(rep, skip)
 					continue
 				}
-				ok, rerr := st.runRep(cfg.Seed, uint64(rep), shards, m, base.router)
-				switch {
-				case rerr != nil:
-					agg.fold(rep, func(ag *monteAgg) { ag.err = rerr })
-				case !ok:
+				switch rerr := st.runRep(cfg.Seed, uint64(rep), shards, m, base.router); rerr {
+				case nil:
+					agg.fold(rep, foldRep)
+				case errAbandoned:
 					agg.foldCancelled(rep)
 				default:
-					agg.fold(rep, foldRep)
+					agg.fold(rep, func(ag *monteAgg) { ag.err = rerr })
 				}
 			}
 		}(w)

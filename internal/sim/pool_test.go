@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -91,21 +92,119 @@ func TestPoolReturnedErrorLowestIndex(t *testing.T) {
 }
 
 // TestPoolPhaseAllocFree: dispatching a phase moves plain values through
-// the channel, so a 64-task no-op phase allocates nothing.
+// the channel and the cancellation polls are non-blocking receives, so
+// a 64-task no-op phase allocates nothing, with or without a canceller.
 func TestPoolPhaseAllocFree(t *testing.T) {
 	pool := startPool(2)
 	defer pool.stop()
-	r := newRunner(pool, "TestEngine", []string{"noop"}, func(int, int) error { return nil })
-	if err := r.runPhase(0, 64, "noop"); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, cc := range []*canceller{nil, newCanceller(ctx)} {
+		r := newRunner(pool, "TestEngine", []string{"noop"}, func(int, int) error { return nil })
+		r.cc = cc
 		if err := r.runPhase(0, 64, "noop"); err != nil {
 			t.Fatal(err)
 		}
+		allocs := testing.AllocsPerRun(200, func() {
+			if err := r.runPhase(0, 64, "noop"); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("armed=%v: 64-task no-op phase allocates %v objects, want 0", cc != nil, allocs)
+		}
+	}
+}
+
+// TestPoolAbandonedOnCancel: a task cancels the run's context mid-phase.
+// Every task still runs, and the phase then returns errAbandoned —
+// bare, from runPhase and dispatch alike. A phase started after the
+// context fired is abandoned without running a task.
+func TestPoolAbandonedOnCancel(t *testing.T) {
+	defer leakCheck(t)()
+	pool := startPool(2)
+	defer pool.stop()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var ran atomic.Int32
+	r := newRunner(pool, "TestEngine", []string{"only"}, func(_, idx int) error {
+		ran.Add(1)
+		if idx == 3 {
+			cancel()
+		}
+		return nil
 	})
-	if allocs != 0 {
-		t.Fatalf("64-task no-op phase allocates %v objects, want 0", allocs)
+	r.cc = newCanceller(ctx)
+	if err := r.runPhase(0, 8, "shard"); err != errAbandoned {
+		t.Fatalf("runPhase = %v, want errAbandoned", err)
+	}
+	if got := ran.Load(); got != 8 {
+		t.Fatalf("%d of 8 tasks ran before the barrier returned", got)
+	}
+	ran.Store(0)
+	if i, err := r.dispatch(0, 8); i != -1 || err != errAbandoned || ran.Load() != 0 {
+		t.Fatalf("phase after cancel: dispatch = (%d, %v) with %d tasks run, want (-1, errAbandoned) with none", i, err, ran.Load())
+	}
+}
+
+// TestPoolTaskErrorBeatsAbandon: when a task fails in a phase whose
+// context fired, the task's error is reported, not the abandonment.
+func TestPoolTaskErrorBeatsAbandon(t *testing.T) {
+	defer leakCheck(t)()
+	pool := startPool(3)
+	defer pool.stop()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sentinel := errors.New("sentinel")
+	r := newRunner(pool, "TestEngine", []string{"place", "route"}, func(kind, idx int) error {
+		if idx == 0 {
+			cancel()
+		}
+		if kind == 0 && idx == 5 {
+			panic("boom")
+		}
+		if kind == 1 && idx == 6 {
+			return sentinel
+		}
+		return nil
+	})
+	r.cc = newCanceller(ctx)
+	err := r.runPhase(0, 8, "shard")
+	var perr *PanicError
+	if !errors.As(err, &perr) || perr.Task != "place" || perr.Index != 5 || errors.Is(err, errAbandoned) {
+		t.Fatalf("panicking phase: err = %v, want the place task's *PanicError at index 5", err)
+	}
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	r.cc = newCanceller(ctx)
+	if err := r.runPhase(1, 8, "group"); !errors.Is(err, sentinel) || err.Error() != "sim: TestEngine group 6: sentinel" {
+		t.Fatalf("failing phase: err = %v, want the wrapped task error of index 6", err)
+	}
+}
+
+// TestPoolSerialStep: the guarded serial step turns a panic into a
+// *PanicError with the given task name, the runner's rep and index -1,
+// wrapped with the step's label; a returned error passes through as is.
+func TestPoolSerialStep(t *testing.T) {
+	r := newRunner(nil, "TestEngine", nil, nil)
+	r.rep = 4
+	err := r.serial("churn", "churn step", func() error { panic("boom") })
+	var perr *PanicError
+	if !errors.As(err, &perr) {
+		t.Fatalf("err = %v, want *PanicError", err)
+	}
+	if perr.Engine != "TestEngine" || perr.Task != "churn" || perr.Rep != 4 || perr.Index != -1 || perr.Value != "boom" {
+		t.Fatalf("provenance %+v, want TestEngine churn task, rep 4, index -1", perr)
+	}
+	if !strings.HasPrefix(err.Error(), "sim: TestEngine churn step: ") {
+		t.Fatalf("error %q is not wrapped with the step label", err)
+	}
+	sentinel := errors.New("sentinel")
+	if err := r.serial("churn", "churn step", func() error { return sentinel }); err != sentinel {
+		t.Fatalf("returned error = %v, want the step's own error", err)
+	}
+	if err := r.serial("churn", "churn step", func() error { return nil }); err != nil {
+		t.Fatalf("successful step: %v", err)
 	}
 }
 

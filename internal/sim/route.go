@@ -153,20 +153,21 @@ func (g *routeGroup) reset() {
 // its owned blocks below cutBlocks[k], plus (iff the group owns the
 // boundary block) the shard-ordered partial fill of that block.
 //
-// cc (nil when cancellation is not armed) is polled once per routing
-// block — the cancellation granularity of the routing pass. A
-// cancelled group returns early with partial accumulators; the engines
-// never read routing state from a cancelled pass. eng and rep name the
-// group's fault-injection site.
-func (g *routeGroup) route(cc *canceller, eng string, rep int, base uint64, mult *sampling.Multinomial, m int64, start, stride int, cutBlocks, cutRems []int64) {
+// The runner's canceller (nil when cancellation is not armed) is
+// polled once per routing block — the cancellation granularity of the
+// routing pass. A cancelled group returns early with partial
+// accumulators; the runner then abandons the phase, so no engine reads
+// routing state from a cancelled pass. The runner's engine and rep
+// name the group's fault-injection site.
+func (g *routeGroup) route(r *phaseRunner, base uint64, mult *sampling.Multinomial, m int64, start, stride int, cutBlocks, cutRems []int64) {
 	blocks := numRouteBlocks(m)
 	next := 0 // next cut whose boundary block is not yet behind us
 	for b := start; b < blocks; b += stride {
-		if cc.cancelled() {
+		if r.cc.cancelled() {
 			return
 		}
 		if fault.Enabled {
-			fault.Hit(fault.Site{Engine: eng, Op: fault.OpRoute, Rep: rep, Shard: -1, Block: b})
+			fault.Hit(fault.Site{Engine: r.engine, Op: fault.OpRoute, Rep: r.rep, Shard: -1, Block: b})
 		}
 		// Snap every cut whose boundary block is at or below b: the
 		// accumulator holds exactly this group's owned blocks below b

@@ -72,7 +72,7 @@ func BenchmarkRouteBallsMultinomial(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		groups[0].reset()
-		groups[0].route(nil, "bench", 0, xrand.Mix64(1, 0), mult, benchRouteBalls, 0, 1, nil, nil)
+		groups[0].route(&phaseRunner{engine: "bench"}, xrand.Mix64(1, 0), mult, benchRouteBalls, 0, 1, nil, nil)
 		mergeRouteGroups(groups, counts, nil)
 	}
 }

@@ -71,7 +71,7 @@ func TestRouteGroupsMatchSerial(t *testing.T) {
 	base := xrand.Mix64(99, 0)
 
 	ref := newRouteGroups(1, len(weights), len(cuts))
-	ref[0].route(nil, "test", 0, base, mult, m, 0, 1, cutBlocks, cutRems)
+	ref[0].route(&phaseRunner{engine: "test"}, base, mult, m, 0, 1, cutBlocks, cutRems)
 	refCounts := make([]int64, len(weights))
 	refPrefix := make([][]int64, len(cuts))
 	for k := range refPrefix {
@@ -97,7 +97,7 @@ func TestRouteGroupsMatchSerial(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				groups[gi].route(nil, "test", 0, base, mult, m, gi, len(groups), cutBlocks, cutRems)
+				groups[gi].route(&phaseRunner{engine: "test"}, base, mult, m, gi, len(groups), cutBlocks, cutRems)
 			}()
 		}
 		wg.Wait()
@@ -132,7 +132,7 @@ func TestRoutePrefixModel(t *testing.T) {
 	cuts := []int64{1, 4000, RoutingBlock + 9000, m}
 	cutBlocks, cutRems := cutPlan(cuts)
 	groups := newRouteGroups(1, len(weights), len(cuts))
-	groups[0].route(nil, "test", 0, xrand.Mix64(7, 0), mult, m, 0, 1, cutBlocks, cutRems)
+	groups[0].route(&phaseRunner{engine: "test"}, xrand.Mix64(7, 0), mult, m, 0, 1, cutBlocks, cutRems)
 	counts := make([]int64, len(weights))
 	prefix := make([][]int64, len(cuts))
 	for k := range prefix {
@@ -203,7 +203,7 @@ func TestRouteMatchesPerBallLaw(t *testing.T) {
 	counts := make([]int64, len(weights))
 	for rep := 0; rep < reps; rep++ {
 		groups := newRouteGroups(1, len(weights), 0)
-		groups[0].route(nil, "test", 0, xrand.Mix64(uint64(rep), 0), mult, m, 0, 1, nil, nil)
+		groups[0].route(&phaseRunner{engine: "test"}, xrand.Mix64(uint64(rep), 0), mult, m, 0, 1, nil, nil)
 		mergeRouteGroups(groups, counts, nil)
 		for s, c := range counts {
 			sums[s] += float64(c)

@@ -252,7 +252,6 @@ func Run(cfg Config) (*Result, error) {
 // eng); an error or a cancellation only skips the remaining work.
 func runChunks[W any](cfg *Config, eng string, setup func(*Config) (W, error), rep func(*Config, []int64, uint64, W, *chunkPartial) error) (*Result, error) {
 	cc := newCanceller(cfg.Context)
-	defer cc.stop()
 	checkpoints, err := obs.NormalizeCuts(cfg.Checkpoints)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)

@@ -252,13 +252,18 @@ const (
 // streamTaskNames[kind] is the provenance name of a task kind.
 var streamTaskNames = []string{"route", "setup", "place", "delete", "move-out", "move-in", "observe"}
 
-// apportion sorts deficit-shard indices by descending largest-remainder
-// residue (ties by ascending shard index — a total order, so the result
-// is unique whatever sort algorithm runs). It lives in streamState so
-// the per-round sort allocates nothing.
+// apportion is the largest-remainder scratch of the streaming and
+// cluster engines: it sorts candidate shard indices by descending
+// residue (ties by ascending shard index — a total order, so the
+// result is unique whatever sort algorithm runs). It lives in the
+// engine state so the per-round sort allocates nothing.
 type apportion struct {
 	rem []float64 // residue per shard (indexed by shard)
 	idx []int     // candidate shard indices being sorted
+}
+
+func newApportion(shards int) apportion {
+	return apportion{rem: make([]float64, shards), idx: make([]int, 0, shards)}
 }
 
 func (a *apportion) Len() int      { return len(a.idx) }
@@ -271,6 +276,54 @@ func (a *apportion) Less(i, j int) bool {
 	return a.idx[i] < a.idx[j]
 }
 
+// split apportions m balls into out over the shards s with weight
+// w[s] > 0 (wsum the sum of w) by largest remainder: floor quotas
+// first, then one extra ball per candidate in descending-residue
+// order, wrapping in the float corner case of more leftover than
+// candidates; a float over-assignment (Σfloor > m) is taken back from
+// the smallest residues. A deterministic integer rule with no RNG
+// draw. It reports false, leaving out all zero, when no shard can take
+// a ball.
+func (a *apportion) split(m int64, w []float64, wsum float64, out []int64) bool {
+	clear(out)
+	if m == 0 || wsum <= 0 {
+		return false
+	}
+	a.idx = a.idx[:0]
+	var assigned int64
+	for s, ws := range w {
+		if ws <= 0 {
+			continue
+		}
+		ideal := float64(m) * ws / wsum
+		q := math.Floor(ideal)
+		out[s] = int64(q)
+		a.rem[s] = ideal - q
+		assigned += int64(q)
+		a.idx = append(a.idx, s)
+	}
+	if len(a.idx) == 0 {
+		return false
+	}
+	sort.Sort(a)
+	k := len(a.idx)
+	for r := m - assigned; r > 0; {
+		for j := 0; j < k && r > 0; j++ {
+			out[a.idx[j]]++
+			r--
+		}
+	}
+	for r := assigned - m; r > 0; {
+		for j := k - 1; j >= 0 && r > 0; j-- {
+			if out[a.idx[j]] > 0 {
+				out[a.idx[j]]--
+				r--
+			}
+		}
+	}
+	return true
+}
+
 // streamState is the engine's whole working set, allocated once before
 // round 0: after a two-round warm-up a steady-state round performs no
 // allocation at all (pinned by TestStreamSteadyStateAllocFree and the
@@ -278,7 +331,6 @@ func (a *apportion) Less(i, j int) bool {
 type streamState struct {
 	shardedBase
 	cfg    *StreamConfig
-	cc     *canceller
 	n      int
 	shards int
 	seed   uint64
@@ -304,26 +356,18 @@ type streamState struct {
 	targets  []float64 // rebalance scratch: per-shard occupancy targets
 	defW     []float64 // rebalance scratch: per-shard deficit weights
 	ap       apportion
+	cuts     roundCuts
 
 	fixedM   int64   // per-round arrivals when no schedule is set
 	sched    []int64 // explicit schedule (nil when fixedM applies)
 	totalCap int64
-
-	cuts     []int64 // normalized round-index cuts
-	nCuts    int     // cuts reachable within Rounds
-	nextCut  int
-	cp       *obs.Checkpoints
-	trackRow []float64   // per-shard max-load scratch for the current cut
-	trackMat [][]float64 // {trackRow}, the shape combineShardMaxima folds
-	maxOut   []float64   // combineShardMaxima output scratch (len 1)
 
 	pool phasePool
 	run  phaseRunner
 
 	// Round-scoped fields, written by the orchestrator strictly
 	// between phase barriers (the task-channel sends order the writes
-	// before any worker reads).
-	round  int
+	// before any worker reads); the round itself is run.rep.
 	rbase  uint64 // round base stream index: round·kk
 	rrbase uint64 // Mix64(seed, rbase): arrival routing base
 	curM   int64  // this round's arrivals
@@ -347,8 +391,6 @@ func runStream(cfg StreamConfig) (*StreamResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	cc := newCanceller(cfg.Context)
-	defer cc.stop()
 	base, err := newDistBase(engRunStream, cfg.Array, cfg.AdoptArray, cfg.Dist, cfg.Placer, shards, cfg.Workers)
 	if err != nil {
 		return nil, err
@@ -357,7 +399,6 @@ func runStream(cfg StreamConfig) (*StreamResult, error) {
 	st := &streamState{
 		shardedBase: base,
 		cfg:         &cfg,
-		cc:          cc,
 		n:           arr.N(),
 		shards:      shards,
 		seed:        cfg.Seed,
@@ -387,7 +428,8 @@ func runStream(cfg StreamConfig) (*StreamResult, error) {
 	st.moveIn = make([]int64, shards)
 	st.targets = make([]float64, shards)
 	st.defW = make([]float64, shards)
-	st.ap = apportion{rem: make([]float64, shards), idx: make([]int, 0, shards)}
+	st.ap = newApportion(shards)
+	st.cuts = newRoundCuts(cfg.Checkpoints, rounds, shards)
 	st.rands = make([]xrand.Rand, shards)
 	st.scratch = make([]xrand.Rand, shards)
 	st.views = make([]*bins.Array, shards)
@@ -396,16 +438,6 @@ func runStream(cfg StreamConfig) (*StreamResult, error) {
 	st.shardT, err = sampling.NewCountTree(shards)
 	if err != nil {
 		return nil, fmt.Errorf("sim: RunStream: %w", err)
-	}
-
-	cuts, _ := obs.NormalizeCuts(cfg.Checkpoints) // validated above
-	st.cuts = cuts
-	st.nCuts = obs.CountReached(cuts, int64(rounds))
-	if len(cuts) > 0 {
-		st.cp = obs.NewCheckpoints(cuts)
-		st.trackRow = make([]float64, shards)
-		st.trackMat = [][]float64{st.trackRow}
-		st.maxOut = make([]float64, 1)
 	}
 
 	// Shard views are built before the pool does any work: Array.Shard
@@ -430,8 +462,11 @@ func runStream(cfg StreamConfig) (*StreamResult, error) {
 
 	st.pool.start(min(base.workers, max(shards, rg)))
 	defer st.pool.stop()
-	st.run = phaseRunner{pool: &st.pool, engine: engRunStream, names: streamTaskNames, tasks: st}
-	return st.orchestrate(rounds)
+	st.run = phaseRunner{pool: &st.pool, cc: newCanceller(cfg.Context), engine: engRunStream, names: streamTaskNames, tasks: st}
+	// One-time setup: per-shard placer builds (alias tables, O(shard
+	// size) each) fan out across the pool. Built once, not per round —
+	// a steady-state round allocates nothing.
+	return runRounds[*StreamResult](&st.run, st, streamTaskSetup, shards, rounds, cfg.CancelAfterRounds)
 }
 
 // do is the engine's task switch for its phase runner (pool.go). Task
@@ -442,80 +477,49 @@ func (st *streamState) do(kind, s int) (err error) {
 	switch kind {
 	case streamTaskRoute:
 		st.groups[s].reset()
-		st.groups[s].route(st.cc, engRunStream, st.round, st.rrbase, st.router, st.curM, s, st.rgr, nil, nil)
+		st.groups[s].route(&st.run, st.rrbase, st.router, st.curM, s, st.rgr, nil, nil)
 	case streamTaskSetup:
 		if st.views[s] != nil {
 			st.placers[s], err = st.factory(st.views[s], st.weights[st.bounds[s]:st.bounds[s+1]])
 		}
 	case streamTaskPlace:
 		if st.counts[s] > 0 {
-			placeSegment(st.cc, engRunStream, st.round, s, st.placers[s], st.views[s], &st.rands[s], st.counts[s])
+			placeSegment(&st.run, s, st.placers[s], st.views[s], &st.rands[s], st.counts[s])
 		}
 	case streamTaskDelete:
-		st.deleteShard(s)
+		st.removeShard(s, st.delQuota[s], 2+uint64(st.shards), fault.OpDelete)
 	case streamTaskMoveOut:
-		st.moveOutShard(s)
+		st.removeShard(s, st.moveOut[s], 2+2*uint64(st.shards), fault.OpRebalance)
 	case streamTaskMoveIn:
 		if st.moveIn[s] > 0 {
-			placeSegment(st.cc, engRunStream, st.round, s, st.placers[s], st.views[s], &st.rands[s], st.moveIn[s])
+			placeSegment(&st.run, s, st.placers[s], st.views[s], &st.rands[s], st.moveIn[s])
 		}
 	case streamTaskObserve:
-		if v := st.views[s]; v != nil {
-			st.trackRow[s] = v.MaxLoad()
-		} else {
-			st.trackRow[s] = 0
-		}
+		st.cuts.observeShard(st.views, s)
 	}
 	return err
 }
 
-// deleteShard removes the round's delQuota[s] deletion draws from
-// shard s: rebuild the shard's bin count tree from the live loads,
-// then Sample/Dec/Remove on the shard's own deletion stream. The tree
-// mirrors the view exactly, so Remove can never hit an empty bin.
-func (st *streamState) deleteShard(s int) {
-	q := st.delQuota[s]
+// removeShard removes q balls from shard s uniformly without
+// replacement on the round's stream rbase+off+s: the deletion draws
+// (off 2+S, fault op OpDelete) or the rebalance move-outs (off 2+2S,
+// OpRebalance), whose balls the deficit shards' move-in tasks
+// re-place — ball identity is not tracked, exactly as in the
+// count-based routing model. It rebuilds the shard's bin count tree
+// from the live loads, then runs Sample/Dec/Remove; the tree mirrors
+// the view exactly, so Remove can never hit an empty bin.
+func (st *streamState) removeShard(s int, q int64, off uint64, op fault.Op) {
 	if q == 0 {
 		return
 	}
 	if fault.Enabled {
-		fault.Hit(fault.Site{Engine: engRunStream, Op: fault.OpDelete, Rep: st.round, Shard: s, Block: -1})
+		fault.Hit(fault.Site{Engine: engRunStream, Op: op, Rep: st.run.rep, Shard: s, Block: -1})
 	}
-	view := st.views[s]
-	tree := st.trees[s]
+	view, tree, rng := st.views[s], st.trees[s], &st.scratch[s]
 	tree.Build(view.Balls)
-	rng := &st.scratch[s]
-	rng.Seed(xrand.Mix64(st.seed, st.rbase+2+uint64(st.shards)+uint64(s)))
+	rng.Seed(xrand.Mix64(st.seed, st.rbase+off+uint64(s)))
 	for k := int64(0); k < q; k++ {
-		if k&(RoutingBlock-1) == 0 && st.cc.cancelled() {
-			return
-		}
-		i := tree.Sample(rng)
-		tree.Dec(i)
-		view.Remove(i)
-	}
-}
-
-// moveOutShard removes the round's moveOut[s] rebalance draws from
-// shard s — the same without-replacement kernel as deleteShard, on the
-// shard's move-out stream. The removed balls are re-placed by the
-// deficit shards' move-in tasks; ball identity is not tracked, exactly
-// as in the count-based routing model.
-func (st *streamState) moveOutShard(s int) {
-	q := st.moveOut[s]
-	if q == 0 {
-		return
-	}
-	if fault.Enabled {
-		fault.Hit(fault.Site{Engine: engRunStream, Op: fault.OpRebalance, Rep: st.round, Shard: s, Block: -1})
-	}
-	view := st.views[s]
-	tree := st.trees[s]
-	tree.Build(view.Balls)
-	rng := &st.scratch[s]
-	rng.Seed(xrand.Mix64(st.seed, st.rbase+2+2*uint64(st.shards)+uint64(s)))
-	for k := int64(0); k < q; k++ {
-		if k&(RoutingBlock-1) == 0 && st.cc.cancelled() {
+		if k&(RoutingBlock-1) == 0 && st.run.cc.cancelled() {
 			return
 		}
 		i := tree.Sample(rng)
@@ -529,16 +533,11 @@ func (st *streamState) moveOutShard(s int) {
 // deletion-routing stream, decrementing as it goes — the quota vector
 // is multivariate-hypergeometric, exactly the shard counts of deleting
 // D balls uniformly without replacement. It runs on the orchestrator
-// goroutine behind its own recover so an injected (or genuine) panic
-// surfaces as a *PanicError like any pool task's.
-func (st *streamState) routeDeletions(d int64) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("sim: RunStream deletion routing: %w", newPanicError(engRunStream, "delete-route", st.round, -1, r))
-		}
-	}()
+// goroutine as the runner's serial step "delete-route", so an injected
+// (or genuine) panic surfaces as a *PanicError like any pool task's.
+func (st *streamState) routeDeletions(d int64) {
 	if fault.Enabled {
-		fault.Hit(fault.Site{Engine: engRunStream, Op: fault.OpDelete, Rep: st.round, Shard: -1, Block: -1})
+		fault.Hit(fault.Site{Engine: engRunStream, Op: fault.OpDelete, Rep: st.run.rep, Shard: -1, Block: -1})
 	}
 	st.shardT.Build(func(s int) int64 { return st.sballs[s] })
 	st.srand.Seed(xrand.Mix64(st.seed, st.rbase+1+uint64(st.shards)))
@@ -548,7 +547,6 @@ func (st *streamState) routeDeletions(d int64) (err error) {
 		st.shardT.Dec(s)
 		st.delQuota[s]++
 	}
-	return nil
 }
 
 // planRebalance fills moveOut/moveIn for the round and returns the
@@ -580,9 +578,7 @@ func (st *streamState) planRebalance(tol float64) int64 {
 		return 0
 	}
 	var wd float64
-	st.ap.idx = st.ap.idx[:0]
 	for s := 0; s < st.shards; s++ {
-		st.moveIn[s] = 0
 		st.defW[s] = 0
 		if st.views[s] == nil {
 			continue
@@ -590,42 +586,13 @@ func (st *streamState) planRebalance(tol float64) int64 {
 		if def := st.targets[s] - float64(st.sballs[s]); def > 0 {
 			st.defW[s] = def
 			wd += def
-			st.ap.idx = append(st.ap.idx, s)
 		}
 	}
-	if wd <= 0 || len(st.ap.idx) == 0 {
+	if !st.ap.split(m, st.defW, wd, st.moveIn) {
 		// No shard is below target (possible only through float
 		// corner cases): nothing can absorb the surplus, skip the pass.
 		clear(st.moveOut)
 		return 0
-	}
-	var assigned int64
-	for _, s := range st.ap.idx {
-		ideal := float64(m) * st.defW[s] / wd
-		q := math.Floor(ideal)
-		st.moveIn[s] = int64(q)
-		st.ap.rem[s] = ideal - q
-		assigned += int64(q)
-	}
-	sort.Sort(&st.ap)
-	k := len(st.ap.idx)
-	for r := m - assigned; r > 0; {
-		// One extra ball per candidate in residue order; wrap in the
-		// (float-residue) corner case of more leftover than candidates.
-		for j := 0; j < k && r > 0; j++ {
-			st.moveIn[st.ap.idx[j]]++
-			r--
-		}
-	}
-	for r := assigned - m; r > 0; {
-		// Float residue over-assigned (Σfloor > m): take back from the
-		// smallest residues.
-		for j := k - 1; j >= 0 && r > 0; j-- {
-			if st.moveIn[st.ap.idx[j]] > 0 {
-				st.moveIn[st.ap.idx[j]]--
-				r--
-			}
-		}
 	}
 	return m
 }
@@ -638,41 +605,10 @@ func (st *streamState) arrivalsAt(r int) int64 {
 	return st.fixedM
 }
 
-// orchestrate runs the setup phase and then the rounds, committing the
-// completed-round prefix as it goes.
-func (st *streamState) orchestrate(rounds int) (*StreamResult, error) {
-	// One-time setup: per-shard placer builds (alias tables,
-	// O(shard size) each) fan out across the pool. Built once, not per
-	// round — a steady-state round allocates nothing.
-	if err := st.run.runPhase(streamTaskSetup, st.shards, "setup shard"); err != nil {
-		return nil, err
-	}
-	if st.cc.cancelled() {
-		return st.partial(st.cc.err())
-	}
-	for r := 0; r < rounds; r++ {
-		ok, err := st.runRound(r)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return st.partial(st.cc.err())
-		}
-		if ca := st.cfg.CancelAfterRounds; ca > 0 && st.rounds == ca && st.rounds < rounds {
-			return st.partial(nil)
-		}
-	}
-	return st.final()
-}
-
-// runRound executes round r: arrivals → deletions → rebalance →
-// observation → commit. ok == false means the round was abandoned at a
-// cancellation point — nothing of it is committed.
-func (st *streamState) runRound(r int) (ok bool, err error) {
-	if st.cc.cancelled() {
-		return false, nil
-	}
-	st.round, st.run.rep = r, r
+// step executes round r: arrivals → deletions → rebalance →
+// observation → commit. A failed or abandoned phase returns its error
+// before the commit, so nothing of the round is committed.
+func (st *streamState) step(r int) error {
 	st.rbase = uint64(r) * st.kk
 	// Placement streams are re-seeded for EVERY shard at the start of
 	// every round — whether or not the shard receives arrivals — so a
@@ -690,17 +626,11 @@ func (st *streamState) runRound(r int) (ok bool, err error) {
 		st.rrbase = xrand.Mix64(st.seed, st.rbase)
 		st.rgr = min(len(st.groups), numRouteBlocks(m))
 		if err := st.run.runPhase(streamTaskRoute, st.rgr, "routing group"); err != nil {
-			return false, err
-		}
-		if st.cc.cancelled() {
-			return false, nil
+			return err
 		}
 		mergeRouteGroups(st.groups[:st.rgr], st.counts, nil)
 		if err := st.run.runPhase(streamTaskPlace, st.shards, "shard"); err != nil {
-			return false, err
-		}
-		if st.cc.cancelled() {
-			return false, nil
+			return err
 		}
 		for s, c := range st.counts {
 			st.sballs[s] += c
@@ -710,22 +640,16 @@ func (st *streamState) runRound(r int) (ok bool, err error) {
 
 	// Phase 3 — deletions: exactly uniform without replacement over
 	// the current occupancy, P(shard)·P(bin|shard) factorised.
-	d := st.cfg.Deletions
-	if d > st.total {
-		d = st.total
-	}
+	d := min(st.cfg.Deletions, st.total)
 	if d > 0 {
-		if err := st.routeDeletions(d); err != nil {
-			return false, err
-		}
-		if st.cc.cancelled() {
-			return false, nil
+		if err := st.run.serial("delete-route", "deletion routing", func() error {
+			st.routeDeletions(d)
+			return nil
+		}); err != nil {
+			return err
 		}
 		if err := st.run.runPhase(streamTaskDelete, st.shards, "deletion shard"); err != nil {
-			return false, err
-		}
-		if st.cc.cancelled() {
-			return false, nil
+			return err
 		}
 		for s, q := range st.delQuota {
 			st.sballs[s] -= q
@@ -741,16 +665,10 @@ func (st *streamState) runRound(r int) (ok bool, err error) {
 		moved = st.planRebalance(tol)
 		if moved > 0 {
 			if err := st.run.runPhase(streamTaskMoveOut, st.shards, "move-out shard"); err != nil {
-				return false, err
-			}
-			if st.cc.cancelled() {
-				return false, nil
+				return err
 			}
 			if err := st.run.runPhase(streamTaskMoveIn, st.shards, "move-in shard"); err != nil {
-				return false, err
-			}
-			if st.cc.cancelled() {
-				return false, nil
+				return err
 			}
 			for s := 0; s < st.shards; s++ {
 				st.sballs[s] += st.moveIn[s] - st.moveOut[s]
@@ -758,20 +676,9 @@ func (st *streamState) runRound(r int) (ok bool, err error) {
 		}
 	}
 
-	// Phase 5 — observation: a cut at round r+1 snapshots the system
-	// before the commit, so a cancellation inside the observe phase
-	// abandons the whole round and the trajectory stays exactly the
-	// committed prefix's.
-	if st.nextCut < st.nCuts && st.cuts[st.nextCut] == int64(r)+1 {
-		if err := st.run.runPhase(streamTaskObserve, st.shards, "observe shard"); err != nil {
-			return false, err
-		}
-		if st.cc.cancelled() {
-			return false, nil
-		}
-		combineShardMaxima(st.trackMat, st.maxOut)
-		st.cp.Observe(st.nextCut, st.total, st.totalCap, st.maxOut[0])
-		st.nextCut++
+	// Phase 5 — observation: a cut at round r+1 snapshots the system.
+	if err := st.cuts.observe(&st.run, streamTaskObserve, r, st.total, st.totalCap); err != nil {
+		return err
 	}
 
 	// Commit: the round is now part of the result prefix.
@@ -781,7 +688,7 @@ func (st *streamState) runRound(r int) (ok bool, err error) {
 	st.moved += moved
 	st.ctotal = st.total
 	copy(st.csballs, st.sballs)
-	return true, nil
+	return nil
 }
 
 // partialResult builds the committed-prefix result every cancelled
@@ -797,9 +704,7 @@ func (st *streamState) partialResult() *StreamResult {
 		Balls:      st.ctotal,
 		ShardBalls: st.csballs,
 	}
-	if st.cp != nil {
-		res.Checkpoints = st.cp.Rows()
-	}
+	res.Checkpoints = st.cuts.rows()
 	return res
 }
 
@@ -810,7 +715,7 @@ func (st *streamState) partial(cause error) (*StreamResult, error) {
 	return st.partialResult(), &CancelledError{
 		Engine:          engRunStream,
 		CompletedReps:   -1,
-		CompletedCuts:   st.nextCut,
+		CompletedCuts:   st.cuts.next,
 		CompletedRounds: st.rounds,
 		CompletedTicks:  -1,
 		Cause:           cause,
