@@ -72,9 +72,10 @@ func main() {
 
 	// Churn on the ring itself: removing a peer hands its arcs to the
 	// clockwise successors, re-adding it restores the original ring bit
-	// for bit — no rehashing, no RNG draws. This incremental AddPeer/
-	// RemovePeer is what the serving engine leans on when servers crash
-	// and recover mid-run (see examples/cluster-sim).
+	// for bit — no rehashing, no RNG draws. AddPeer/RemovePeer only flip
+	// the peer's bit in a liveness mask over a ring that never changes;
+	// that is what the serving engine leans on when servers crash and
+	// recover mid-run (see examples/cluster-sim).
 	fmt.Println()
 	churnRing, err := chash.NewRing(peers, 1, xrand.New(seed))
 	if err != nil {

@@ -13,38 +13,37 @@
 //
 // # Membership churn
 //
-// A ring remembers every peer's virtual points forever: the positions are
-// drawn once, at construction, and RemovePeer/AddPeer splice a peer's
-// points out of and back into the sorted ring incrementally — one
-// compaction or merge pass, no re-sort, and crucially no RNG draw, so
-// churn is deterministic given the construction seed and a peer that
-// crashes and recovers returns to exactly its old points (its keys come
-// home). Arc weights are recomputed from the surviving points; a dead
-// peer owns no points, so lookups can never land on it and its former
-// arcs accrue to its ring successors — the consistent-hashing property
-// that only neighbouring shares move under churn.
+// A ring is built once and never changes: every peer's virtual points
+// are drawn at construction and kept sorted by (position, peer index).
+// Membership is a liveness mask over that ring. RemovePeer/AddPeer flip
+// one peer's bit in O(1) — no pass over the ring, no re-sort and no RNG
+// draw — so the ring is a pure function of (seed, capacities, live set),
+// whatever churn history reached that live set, and a peer that crashes
+// and recovers returns to exactly its old points (its keys come home).
+// Lookups step forward past points whose owner is dead, so they never
+// land on a dead peer and its former arcs accrue to its ring successors
+// — the consistent-hashing property that only neighbouring shares move
+// under churn.
 package chash
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/xrand"
 )
 
 // Ring is a consistent-hashing ring over n peers, each owning a fixed
-// set of virtual points drawn at construction. Peers may be live (their
-// points are on the ring) or removed (points remembered, not mounted).
+// set of virtual points drawn at construction. Every point stays on the
+// ring; live masks out the points of removed peers.
 type Ring struct {
 	n      int
-	vnodes int
-	points []float64 // sorted positions in [0,1) of LIVE peers' points
-	owner  []int32   // peer owning each mounted point
-	// peerPts[p] is peer p's fixed, ascending point set — the
-	// churn-invariant identity RemovePeer/AddPeer splice with.
-	peerPts [][]float64
-	live    []bool
-	nLive   int
+	points []float64 // every peer's positions in [0,1), sorted by (position, peer)
+	owner  []int32   // peer owning each point
+	live   []bool
+	nLive  int
 }
 
 // NewRing places n peers with the given number of virtual nodes each at
@@ -60,12 +59,7 @@ func NewRing(n, vnodes int, r *xrand.Rand) (*Ring, error) {
 	for p := range counts {
 		counts[p] = vnodes
 	}
-	ring, err := build(counts, r)
-	if err != nil {
-		return nil, err
-	}
-	ring.vnodes = vnodes
-	return ring, nil
+	return build(counts, r), nil
 }
 
 // NewWeightedRing places peer p with vnodesPerUnit·capacity[p] virtual
@@ -87,55 +81,74 @@ func NewWeightedRing(capacities []int64, vnodesPerUnit int, r *xrand.Rand) (*Rin
 		}
 		counts[i] = int(c) * vnodesPerUnit
 	}
-	ring, err := build(counts, r)
-	if err != nil {
-		return nil, err
-	}
-	ring.vnodes = -1 // heterogeneous
-	return ring, nil
+	return build(counts, r), nil
 }
 
 // build draws counts[p] points for every peer IN PEER ORDER (the draw
-// sequence is part of the model), caches each peer's ascending point
-// set, and mounts everything sorted.
-func build(counts []int, r *xrand.Rand) (*Ring, error) {
-	n := len(counts)
+// sequence is part of the model) and sorts them by (position, peer).
+func build(counts []int, r *xrand.Rand) *Ring {
 	total := 0
 	for _, c := range counts {
 		total += c
 	}
+	drawn := make([]float64, total)
+	for i := range drawn {
+		drawn[i] = r.Float64()
+	}
 	ring := &Ring{
-		n:       n,
-		points:  make([]float64, total),
-		owner:   make([]int32, total),
-		peerPts: make([][]float64, n),
-		live:    make([]bool, n),
-		nLive:   n,
+		n:      len(counts),
+		points: make([]float64, total),
+		owner:  make([]int32, total),
+		live:   make([]bool, len(counts)),
+		nLive:  len(counts),
 	}
-	type pv struct {
-		pos   float64
-		owner int32
-	}
-	pvs := make([]pv, 0, total)
-	flat := make([]float64, total) // one backing array for every peer's cache
-	off := 0
-	for p := 0; p < n; p++ {
-		pts := flat[off : off+counts[p] : off+counts[p]]
-		off += counts[p]
-		for v := range pts {
-			pts[v] = r.Float64()
-			pvs = append(pvs, pv{pos: pts[v], owner: int32(p)})
-		}
-		sort.Float64s(pts)
-		ring.peerPts[p] = pts
+	for p := range ring.live {
 		ring.live[p] = true
 	}
-	sort.Slice(pvs, func(i, j int) bool { return pvs[i].pos < pvs[j].pos })
-	for i, e := range pvs {
-		ring.points[i] = e.pos
-		ring.owner[i] = e.owner
+	sortPoints(drawn, counts, ring.points, ring.owner)
+	return ring
+}
+
+// sortPoints writes the positions drawn in peer order (counts[p] per
+// peer) to points/owner sorted by (position, peer): a counting sort on
+// the top bits of the position, then a stable insertion sort inside
+// each bucket. Both passes are stable and the input is in peer order,
+// so peer order breaks position ties. The result is right for any
+// positions; their uniformity on [0,1) is what keeps the buckets O(1)
+// and the sort linear in expectation.
+func sortPoints(drawn []float64, counts []int, points []float64, owner []int32) {
+	nb := 1 << (bits.Len(uint(len(drawn))) - 1) // largest power of two <= len
+	scale := float64(nb)                        // exact: x·scale only shifts the exponent
+	end := make([]int32, nb+1)
+	for _, x := range drawn {
+		end[int(x*scale)+1]++
 	}
-	return ring, nil
+	for b := 1; b <= nb; b++ {
+		end[b] += end[b-1]
+	}
+	// Scatter: end[b] walks from bucket b's start to its end.
+	i := 0
+	for p, c := range counts {
+		for _, x := range drawn[i : i+c] {
+			b := int(x * scale)
+			points[end[b]], owner[end[b]] = x, int32(p)
+			end[b]++
+		}
+		i += c
+	}
+	lo := 0
+	for _, e := range end[:nb] {
+		hi := int(e)
+		for j := lo + 1; j < hi; j++ {
+			x, o := points[j], owner[j]
+			k := j
+			for ; k > lo && points[k-1] > x; k-- {
+				points[k], owner[k] = points[k-1], owner[k-1]
+			}
+			points[k], owner[k] = x, o
+		}
+		lo = hi
+	}
 }
 
 // N returns the number of peers (live or not).
@@ -144,11 +157,11 @@ func (r *Ring) N() int { return r.n }
 // NumLive returns the number of live peers.
 func (r *Ring) NumLive() int { return r.nLive }
 
-// Live reports whether peer p is currently mounted on the ring.
+// Live reports whether peer p is currently live.
 func (r *Ring) Live(p int) bool { return r.live[p] }
 
-// RemovePeer unmounts peer p's points — one compaction pass over the
-// sorted ring, no re-sort, no RNG. The last live peer cannot be
+// RemovePeer masks peer p's points out of the ring in O(1): its points
+// stay in place and lookups step past them. The last live peer cannot be
 // removed: an empty ring owns nothing and Lookup would be undefined.
 func (r *Ring) RemovePeer(p int) error {
 	if p < 0 || p >= r.n {
@@ -160,26 +173,14 @@ func (r *Ring) RemovePeer(p int) error {
 	if r.nLive == 1 {
 		return fmt.Errorf("chash: RemovePeer(%d) would empty the ring", p)
 	}
-	k := 0
-	for i := range r.points {
-		if r.owner[i] == int32(p) {
-			continue
-		}
-		r.points[k] = r.points[i]
-		r.owner[k] = r.owner[i]
-		k++
-	}
-	r.points = r.points[:k]
-	r.owner = r.owner[:k]
 	r.live[p] = false
 	r.nLive--
 	return nil
 }
 
-// AddPeer re-mounts peer p's remembered points — one backwards
-// in-place merge of its ascending cached set into the sorted ring, no
-// re-sort, no RNG. A peer that crashes and recovers therefore returns
-// to exactly the points it held before, bit for bit.
+// AddPeer unmasks peer p's points in O(1). A peer that crashes and
+// recovers therefore returns to exactly the points it held before, bit
+// for bit.
 func (r *Ring) AddPeer(p int) error {
 	if p < 0 || p >= r.n {
 		return fmt.Errorf("chash: AddPeer(%d) of %d peers", p, r.n)
@@ -187,52 +188,40 @@ func (r *Ring) AddPeer(p int) error {
 	if r.live[p] {
 		return fmt.Errorf("chash: AddPeer(%d): peer is already live", p)
 	}
-	pts := r.peerPts[p]
-	old := len(r.points)
-	total := old + len(pts)
-	if cap(r.points) >= total {
-		r.points = r.points[:total]
-		r.owner = r.owner[:total]
-	} else {
-		np := make([]float64, total)
-		no := make([]int32, total)
-		copy(np, r.points)
-		copy(no, r.owner)
-		r.points, r.owner = np, no
-	}
-	i, k := old-1, total-1
-	for j := len(pts) - 1; j >= 0; k-- {
-		if i >= 0 && r.points[i] > pts[j] {
-			r.points[k] = r.points[i]
-			r.owner[k] = r.owner[i]
-			i--
-		} else {
-			r.points[k] = pts[j]
-			r.owner[k] = int32(p)
-			j--
-		}
-	}
 	r.live[p] = true
 	r.nLive++
 	return nil
 }
 
-// Lookup returns the peer owning position x in [0,1): the peer of the
-// first point at or after x, wrapping around.
-func (r *Ring) Lookup(x float64) int {
-	i := sort.SearchFloat64s(r.points, x)
-	if i == len(r.points) {
-		i = 0
+// nextLive returns the index of the first live point at or after i,
+// wrapping around. A ring always has a live peer, so it terminates.
+func (r *Ring) nextLive(i int) int {
+	for ; i < len(r.points); i++ {
+		if r.live[r.owner[i]] {
+			return i
+		}
 	}
-	return int(r.owner[i])
+	for i = 0; !r.live[r.owner[i]]; i++ {
+	}
+	return i
+}
+
+// Lookup returns the peer owning position x in [0,1): the live peer of
+// the first live point at or after x, wrapping around. It probes one
+// point per dead point it steps past, so with most peers dead a lookup
+// can cost up to the number of points on the ring.
+func (r *Ring) Lookup(x float64) int {
+	i, _ := slices.BinarySearch(r.points, x)
+	return int(r.owner[r.nextLive(i)])
 }
 
 // LookupBatch resolves many positions at once: the queries are sorted
 // once and resolved in a single merge pass against the sorted ring —
-// O(P + Q + Q·log Q) for Q queries over P points instead of Q binary
-// searches — writing each query's owner to the matching out slot.
-// Results are exactly Lookup's, element for element. out is reused
-// when it has the capacity; the filled slice is returned.
+// O(P + Q·log Q) for Q queries over P points instead of Q binary
+// searches — writing each query's owner to the matching out slot. Dead
+// points are stepped past once per pass, not once per query. Results
+// are exactly Lookup's, element for element. out is reused when it has
+// the capacity; the filled slice is returned.
 func (r *Ring) LookupBatch(xs []float64, out []int) []int {
 	if cap(out) < len(xs) {
 		out = make([]int, len(xs))
@@ -245,47 +234,47 @@ func (r *Ring) LookupBatch(xs []float64, out []int) []int {
 	for i := range order {
 		order[i] = int32(i)
 	}
-	sort.Slice(order, func(a, b int) bool { return xs[order[a]] < xs[order[b]] })
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(xs[a], xs[b]) })
 	i := 0
 	for _, q := range order {
 		x := xs[q]
-		for i < len(r.points) && r.points[i] < x {
+		// A point skipped here is below x, hence below every later
+		// query, or dead: never the answer to a later query either.
+		for i < len(r.points) && (r.points[i] < x || !r.live[r.owner[i]]) {
 			i++
 		}
-		if i == len(r.points) {
-			out[q] = int(r.owner[0]) // wrap, like Lookup
-			continue
-		}
-		out[q] = int(r.owner[i])
+		out[q] = int(r.owner[r.nextLive(i)]) // wraps past the end, like Lookup
 	}
 	return out
 }
 
 // ArcLengths returns each peer's total owned arc length; the entries
-// sum to 1 and removed peers hold 0. The arc ending at point i (owned
-// by peer owner[i]) starts at the previous point.
+// sum to 1 and removed peers hold 0. The arc ending at a live point
+// starts at the previous live point.
 func (r *Ring) ArcLengths() []float64 {
 	return r.ArcLengthsInto(nil)
 }
 
 // ArcLengthsInto fills dst (grown if needed) with the per-peer arc
-// lengths — the allocation-free variant the cluster engine calls on
-// every churn event.
+// lengths — the allocation-free variant the cluster engine calls after
+// every churn tick. Arcs are summed over live points in ascending order.
 func (r *Ring) ArcLengthsInto(dst []float64) []float64 {
 	if cap(dst) < r.n {
 		dst = make([]float64, r.n)
 	}
 	dst = dst[:r.n]
 	clear(dst)
-	for i := range r.points {
-		prev := 0.0
-		if i == 0 {
-			// wrap-around arc: from the last point to 1, plus 0 to points[0]
-			prev = r.points[len(r.points)-1] - 1
-		} else {
-			prev = r.points[i-1]
+	last := len(r.points) - 1
+	for !r.live[r.owner[last]] {
+		last--
+	}
+	// wrap-around arc: from the last live point to 1, plus 0 to the first
+	prev := r.points[last] - 1
+	for i, x := range r.points {
+		if o := r.owner[i]; r.live[o] {
+			dst[o] += x - prev
+			prev = x
 		}
-		dst[r.owner[i]] += r.points[i] - prev
 	}
 	return dst
 }

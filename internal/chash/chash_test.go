@@ -1,7 +1,9 @@
 package chash
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -290,8 +292,8 @@ func TestLookupBatchParity(t *testing.T) {
 // TestChurnLookupOracle: after RemovePeer(p), every point keeps its
 // owner unless it was owned by p — those move to SOME other live peer —
 // and AddPeer(p) restores the original ring bit-identically (ownership
-// AND arc lengths), because a peer's vnode points are cached, not
-// redrawn.
+// AND arc lengths), because a removed peer's vnode points stay on the
+// ring, masked, not redrawn.
 func TestChurnLookupOracle(t *testing.T) {
 	ring, err := NewWeightedRing([]int64{2, 3, 4, 5}, 4, xrand.New(3))
 	if err != nil {
@@ -388,8 +390,9 @@ func dchoiceSerial(r *Ring, m int64, d int, rng *xrand.Rand) []int64 {
 
 // TestDChoiceBatchParity: the batched DChoiceLoads is bit-identical to
 // the serial per-ball reference — same seed, same loads — including
-// across a chunk boundary and after churn. This is the ring-parity
-// oracle the cluster engine's dispatch path leans on.
+// across a chunk boundary and after churn, where both step past the
+// dead peer's masked points. This is the ring-parity oracle the cluster
+// engine's dispatch path leans on.
 func TestDChoiceBatchParity(t *testing.T) {
 	ring, err := NewWeightedRing([]int64{1, 2, 3, 4, 5, 6}, 3, xrand.New(11))
 	if err != nil {
@@ -421,5 +424,257 @@ func TestDChoiceBatchParity(t *testing.T) {
 	}
 	if loads[3] != 0 {
 		t.Fatalf("dead peer received %d balls", loads[3])
+	}
+}
+
+// oraclePoint is one (position, peer) pair of the brute-force ring.
+type oraclePoint struct {
+	pos  float64
+	peer int
+}
+
+// ringOracle redraws a weighted ring's points from the same seed, in
+// peer order, and sorts them by (position, peer) — independently of
+// the ring's own counting sort.
+func ringOracle(caps []int64, vpu int, seed uint64) []oraclePoint {
+	r := xrand.New(seed)
+	var pts []oraclePoint
+	for p, c := range caps {
+		for range int(c) * vpu {
+			pts = append(pts, oraclePoint{r.Float64(), p})
+		}
+	}
+	slices.SortFunc(pts, func(a, b oraclePoint) int {
+		return cmp.Or(cmp.Compare(a.pos, b.pos), cmp.Compare(a.peer, b.peer))
+	})
+	return pts
+}
+
+// oracleArcs charges each live point the arc from the previous live
+// point (wrapping), summed in ascending point order.
+func oracleArcs(pts []oraclePoint, live []bool) []float64 {
+	arcs := make([]float64, len(live))
+	var liveIdx []int
+	for i, e := range pts {
+		if live[e.peer] {
+			liveIdx = append(liveIdx, i)
+		}
+	}
+	for k, i := range liveIdx {
+		prev := pts[liveIdx[len(liveIdx)-1]].pos - 1
+		if k > 0 {
+			prev = pts[liveIdx[k-1]].pos
+		}
+		arcs[pts[i].peer] += pts[i].pos - prev
+	}
+	return arcs
+}
+
+// oracleLookup scans for the first live point at or after x, wrapping
+// to the first live point.
+func oracleLookup(pts []oraclePoint, live []bool, x float64) int {
+	for _, e := range pts {
+		if live[e.peer] && e.pos >= x {
+			return e.peer
+		}
+	}
+	for _, e := range pts {
+		if live[e.peer] {
+			return e.peer
+		}
+	}
+	panic("no live peer")
+}
+
+// checkOracle compares the ring's arcs, Lookup and LookupBatch bitwise
+// against the brute-force oracle over xs.
+func checkOracle(t *testing.T, ring *Ring, pts []oraclePoint, xs []float64, step int) {
+	t.Helper()
+	live := make([]bool, ring.N())
+	for p := range live {
+		live[p] = ring.Live(p)
+	}
+	want := oracleArcs(pts, live)
+	for p, a := range ring.ArcLengths() {
+		if math.Float64bits(a) != math.Float64bits(want[p]) {
+			t.Fatalf("step %d: arc of peer %d = %v, oracle %v", step, p, a, want[p])
+		}
+	}
+	got := ring.LookupBatch(xs, nil)
+	for i, x := range xs {
+		w := oracleLookup(pts, live, x)
+		if got[i] != w || ring.Lookup(x) != w {
+			t.Fatalf("step %d: query %v: batch %d, serial %d, oracle %d", step, x, got[i], ring.Lookup(x), w)
+		}
+	}
+}
+
+// FuzzRingChurn drives random AddPeer/RemovePeer sequences (one op per
+// byte: toggle peer b mod n) and checks the ring against the oracle
+// after every op, with no tolerance.
+func FuzzRingChurn(f *testing.F) {
+	f.Add(uint64(1), []byte{1, 2, 3}, []byte{0, 1, 0, 2, 1})
+	f.Add(uint64(7), []byte{0}, []byte{0, 0})
+	f.Add(uint64(9), []byte{3, 0, 9, 1, 1, 4}, []byte{5, 4, 3, 2, 1, 0, 5, 0, 2})
+	f.Fuzz(func(t *testing.T, seed uint64, capBytes, ops []byte) {
+		if len(capBytes) == 0 || len(capBytes) > 32 || len(ops) > 64 {
+			t.Skip()
+		}
+		caps := make([]int64, len(capBytes))
+		for i, b := range capBytes {
+			caps[i] = int64(b%4) + 1
+		}
+		vpu := int(seed%3) + 1
+		ring, err := NewWeightedRing(caps, vpu, xrand.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts := ringOracle(caps, vpu, seed)
+		// Random queries plus every point position and its neighbours.
+		q := xrand.New(seed ^ 0x9e3779b97f4a7c15)
+		xs := []float64{0, math.Nextafter(1, 0)}
+		for range 64 {
+			xs = append(xs, q.Float64())
+		}
+		for _, e := range pts {
+			xs = append(xs, e.pos, math.Nextafter(e.pos, 0), math.Nextafter(e.pos, 1))
+		}
+		checkOracle(t, ring, pts, xs, -1)
+		for step, b := range ops {
+			p := int(b) % len(caps)
+			if nLive := ring.NumLive(); ring.Live(p) {
+				err := ring.RemovePeer(p)
+				if (err != nil) != (nLive == 1) {
+					t.Fatalf("step %d: RemovePeer(%d) with %d live: %v", step, p, nLive, err)
+				}
+			} else if err := ring.AddPeer(p); err != nil {
+				t.Fatalf("step %d: AddPeer(%d): %v", step, p, err)
+			}
+			checkOracle(t, ring, pts, xs, step)
+		}
+	})
+}
+
+// TestChurnHistoryIndependent: two churn histories that reach the same
+// live set give bitwise-equal arcs and lookups.
+func TestChurnHistoryIndependent(t *testing.T) {
+	caps := []int64{2, 1, 3, 1, 4, 2}
+	a, _ := NewWeightedRing(caps, 3, xrand.New(5))
+	b, _ := NewWeightedRing(caps, 3, xrand.New(5))
+	for _, op := range []struct {
+		r  *Ring
+		p  int
+		up bool
+	}{
+		{a, 1, false}, {a, 2, false}, {a, 3, false}, {a, 2, true},
+		{b, 3, false}, {b, 4, false}, {b, 1, false}, {b, 0, false}, {b, 4, true}, {b, 0, true},
+	} {
+		var err error
+		if op.up {
+			err = op.r.AddPeer(op.p)
+		} else {
+			err = op.r.RemovePeer(op.p)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for p := range caps {
+		if a.Live(p) != b.Live(p) {
+			t.Fatalf("peer %d: live sets differ", p)
+		}
+	}
+	arcsA, arcsB := a.ArcLengths(), b.ArcLengths()
+	for p := range arcsA {
+		if math.Float64bits(arcsA[p]) != math.Float64bits(arcsB[p]) {
+			t.Fatalf("peer %d: arc %v vs %v", p, arcsA[p], arcsB[p])
+		}
+	}
+	r := xrand.New(17)
+	xs := make([]float64, 2000)
+	for i := range xs {
+		xs[i] = r.Float64()
+	}
+	la, lb := a.LookupBatch(xs, nil), b.LookupBatch(xs, nil)
+	for i, x := range xs {
+		if la[i] != lb[i] || a.Lookup(x) != b.Lookup(x) {
+			t.Fatalf("query %v: %d vs %d", x, la[i], lb[i])
+		}
+	}
+}
+
+// TestLastLivePeerOwnsEverything: with every peer but one removed, all
+// lookups — including the wrap past the last point — resolve to it.
+func TestLastLivePeerOwnsEverything(t *testing.T) {
+	const n, keep = 40, 17
+	ring, err := NewRing(n, 3, xrand.New(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := 0; p < n; p++ {
+		if p != keep {
+			if err := ring.RemovePeer(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	r := xrand.New(21)
+	xs := []float64{0, 1e-12, math.Nextafter(1, 0)}
+	for range 1000 {
+		xs = append(xs, r.Float64())
+	}
+	for i, got := range ring.LookupBatch(xs, nil) {
+		if got != keep || ring.Lookup(xs[i]) != keep {
+			t.Fatalf("query %v: batch %d, serial %d, want %d", xs[i], got, ring.Lookup(xs[i]), keep)
+		}
+	}
+	for p, a := range ring.ArcLengths() {
+		if p == keep && math.Abs(a-1) > 1e-12 || p != keep && a != 0 {
+			t.Fatalf("peer %d: arc %v", p, a)
+		}
+	}
+}
+
+// TestSortPointsTiesAndSkew: the counting sort orders by (position,
+// peer) even with position ties across peers and with positions far
+// from uniform, crowded into one bucket.
+func TestSortPointsTiesAndSkew(t *testing.T) {
+	r := xrand.New(4)
+	counts := []int{50, 3, 80, 1, 40}
+	drawn := make([]float64, 0, 174)
+	for p, c := range counts {
+		for v := 0; v < c; v++ {
+			switch {
+			case v%10 == 0:
+				drawn = append(drawn, 0.5) // ties across peers, small bucket
+			case v%10 == 5:
+				drawn = append(drawn, 0.25)
+			case p%2 == 0 && v%7 == 1:
+				drawn = append(drawn, 1.0/2048) // ties in the crowded bucket
+			case p%2 == 0:
+				drawn = append(drawn, r.Float64()/1024) // crowd bucket 0
+			default:
+				drawn = append(drawn, r.Float64())
+			}
+		}
+	}
+	want := make([]oraclePoint, 0, len(drawn))
+	i := 0
+	for p, c := range counts {
+		for _, x := range drawn[i : i+c] {
+			want = append(want, oraclePoint{x, p})
+		}
+		i += c
+	}
+	slices.SortStableFunc(want, func(a, b oraclePoint) int {
+		return cmp.Or(cmp.Compare(a.pos, b.pos), cmp.Compare(a.peer, b.peer))
+	})
+	points := make([]float64, len(drawn))
+	owner := make([]int32, len(drawn))
+	sortPoints(drawn, counts, points, owner)
+	for k, w := range want {
+		if points[k] != w.pos || int(owner[k]) != w.peer {
+			t.Fatalf("point %d = (%v, %d), want (%v, %d)", k, points[k], owner[k], w.pos, w.peer)
+		}
 	}
 }

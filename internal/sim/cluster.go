@@ -22,9 +22,10 @@
 //     substream — in peer order, applied or not, so the draw sequence
 //     is frozen whatever the membership state. The last live peer is
 //     never taken down.
-//   - Re-shard: a crashed peer's points leave the ring incrementally
-//     (chash.Ring.RemovePeer — no rebuild, no RNG; recovery re-mounts
-//     the identical points), arc weights are recomputed, the shard
+//   - Re-shard: a crashed peer's points are masked out of the ring
+//     (chash.Ring.RemovePeer flips its liveness bit in O(1) — no
+//     rebuild, no RNG; recovery unmasks the identical points), arc
+//     weights are recomputed in one pass over the ring, the shard
 //     router is rebuilt over the new shard weight sums, and only the
 //     shards whose weight slice changed rebuild their placers. The
 //     dead peer's resident queue is redistributed: each cohort is
@@ -294,9 +295,7 @@ type clusterState struct {
 	prevW     []float64 // last weights the placers were built over
 	caps      []int64
 	totalCap  int64
-	liveCap   int64
-	live      []bool
-	nLive     int
+	liveCap   int64 // capacity of the ring's live peers
 	peerShard []int32
 
 	sumW    float64
@@ -364,8 +363,8 @@ func runCluster(cfg ClusterConfig) (*ClusterResult, error) {
 		return nil, err
 	}
 	// Global stream 0: ring construction. The vnode positions are the
-	// only randomness membership ever consumes — churn splices cached
-	// points, so a crash/recover cycle is RNG-free.
+	// only randomness membership ever consumes — churn only masks and
+	// unmasks points, so a crash/recover cycle is RNG-free.
 	vpu := cfg.VnodesPerUnit
 	if vpu == 0 {
 		vpu = 2
@@ -393,13 +392,8 @@ func runCluster(cfg ClusterConfig) (*ClusterResult, error) {
 		caps:        caps,
 		totalCap:    arr.TotalCapacity(),
 		prevW:       slices.Clone(base.weights),
-		live:        make([]bool, n),
-		nLive:       n,
 	}
 	st.liveCap = st.totalCap
-	for i := range st.live {
-		st.live[i] = true
-	}
 	for _, w := range st.shardW {
 		st.sumW += w
 	}
@@ -548,14 +542,15 @@ func (st *clusterState) serveShard(s int) {
 	var done int64
 	now := int64(st.tick)
 	for p := st.bounds[s]; p < st.bounds[s+1]; p++ {
-		if !st.live[p] {
+		if !st.ring.Live(p) {
 			continue
 		}
 		q := st.queues[p]
 		budget := st.caps[p]
 		var served int64
-		for budget > 0 && len(q) > 0 {
-			c := &q[0]
+		h := 0 // head: cohorts before it are fully served
+		for budget > 0 && h < len(q) {
+			c := &q[h]
 			take := c.count
 			if take > budget {
 				take = budget
@@ -565,10 +560,12 @@ func (st *clusterState) serveShard(s int) {
 			budget -= take
 			served += take
 			if c.count == 0 {
-				q = q[1:]
+				h++
 			}
 		}
-		st.queues[p] = q
+		// Compact in place rather than reslice past the head, so the
+		// queue keeps its capacity for the next tick's appends.
+		st.queues[p] = q[:copy(q, q[h:])]
 		if served > 0 {
 			st.views[s].RemoveBalls(p-st.bounds[s], served)
 			done += served
@@ -609,35 +606,31 @@ func (st *clusterState) expireShard(s int) {
 // not apply (already down, or p is the last live peer — the engine
 // degrades, it never dies).
 func (st *clusterState) crash(t, p int) bool {
-	if !st.live[p] || st.nLive <= 1 {
+	if !st.ring.Live(p) || st.ring.NumLive() <= 1 {
 		return false
 	}
 	if fault.Enabled {
 		fault.Hit(fault.Site{Engine: engRunCluster, Op: fault.OpCrash, Rep: t, Shard: p, Block: -1})
 	}
 	if err := st.ring.RemovePeer(p); err != nil {
-		panic(err) // state mirrors ring liveness; contained by the "churn" step
+		panic(err) // unreachable: checked on the ring above
 	}
-	st.live[p] = false
-	st.nLive--
 	st.liveCap -= st.caps[p]
 	return true
 }
 
-// revive re-mounts peer p's remembered ring points. Returns false when
+// revive puts peer p's ring points back in service. Returns false when
 // p is already live.
 func (st *clusterState) revive(t, p int) bool {
-	if st.live[p] {
+	if st.ring.Live(p) {
 		return false
 	}
 	if fault.Enabled {
 		fault.Hit(fault.Site{Engine: engRunCluster, Op: fault.OpCrash, Rep: t, Shard: p, Block: -1})
 	}
 	if err := st.ring.AddPeer(p); err != nil {
-		panic(err)
+		panic(err) // unreachable: checked on the ring above
 	}
-	st.live[p] = true
-	st.nLive++
 	st.liveCap += st.caps[p]
 	return true
 }
@@ -667,7 +660,7 @@ func (st *clusterState) churnStep(t int) (crashed []int, recovered int) {
 		st.crand.Seed(xrand.Mix64(st.seed, st.tbase))
 		for p := 0; p < st.n; p++ {
 			u := st.crand.Float64()
-			if st.live[p] {
+			if st.ring.Live(p) {
 				if u < st.cfg.Churn.CrashProb && st.crash(t, p) {
 					crashed = append(crashed, p)
 				}
@@ -681,7 +674,7 @@ func (st *clusterState) churnStep(t int) (crashed []int, recovered int) {
 }
 
 // reshardPlan recomputes routing after churn: fresh arc weights from
-// the spliced ring, per-shard weight sums, a rebuilt multinomial
+// the ring's live points, per-shard weight sums, a rebuilt multinomial
 // router, and dirty marks on exactly the shards whose weight slice
 // changed. It runs on the orchestrator as the runner's serial step
 // "reshard".
@@ -785,7 +778,7 @@ func (st *clusterState) step(t int) error {
 		st.rands[s].Seed(xrand.Mix64(st.seed, st.tbase+2+uint64(s)))
 	}
 
-	// Phase 1 — churn + incremental re-shard + redistribution.
+	// Phase 1 — churn + re-shard + redistribution.
 	var crashed []int
 	var recovered int
 	if err := st.run.serial("churn", "churn", func() error {
@@ -794,7 +787,7 @@ func (st *clusterState) step(t int) error {
 	}); err != nil {
 		return err
 	}
-	tickLive := st.nLive
+	tickLive := st.ring.NumLive()
 	var movedT int64
 	if len(crashed) > 0 || recovered > 0 {
 		if err := st.run.serial("reshard", "reshard", st.reshardPlan); err != nil {
