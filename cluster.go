@@ -6,23 +6,22 @@ import (
 	"fmt"
 
 	"repro/internal/bins"
-	"repro/internal/cluster"
 	"repro/internal/sim"
 )
 
 // ChurnEvent is one scheduled membership change: server Peer crashes
 // (Down) or recovers (!Down) at the start of tick Tick.
-type ChurnEvent = cluster.ChurnEvent
+type ChurnEvent = sim.ChurnEvent
 
 // ChurnPlan describes when servers crash and recover: a deterministic
 // schedule plus optional per-tick Bernoulli crash/recover draws on a
 // pinned substream. Neither path ever takes down the last live server.
-type ChurnPlan = cluster.ChurnPlan
+type ChurnPlan = sim.ChurnPlan
 
 // RetryPolicy is the per-request timeout/retry contract: requests
 // queued longer than TimeoutTicks are pulled and re-dispatched up to
 // MaxRetries times after a deterministic exponential backoff.
-type RetryPolicy = cluster.RetryPolicy
+type RetryPolicy = sim.RetryPolicy
 
 // ClusterConfig describes one churn-tolerant serving run: requests
 // arrive in ticks, are routed onto live servers through a weighted
@@ -33,7 +32,7 @@ type ClusterConfig struct {
 	// Capacities of the servers (required): Capacities[i] is server
 	// i's per-tick service rate AND its ring weight.
 	Capacities []int64
-	// Ticks is the simulation horizon (>= 1).
+	// Ticks is the simulation horizon (1 to math.MaxInt32).
 	Ticks int
 	// Arrivals is the number of requests offered per tick (>= 0).
 	Arrivals int64

@@ -7,34 +7,6 @@ import (
 	balls "repro"
 )
 
-func TestParsePolicy(t *testing.T) {
-	cases := []struct {
-		in   string
-		d    int
-		want string
-	}{
-		{"greedy", 2, "greedy(d=2)"},
-		{"standard", 3, "standard(d=3)"},
-		{"single", 2, "single"},
-		{"goleft", 2, "goleft(d=2)"},
-		{"batched:16", 2, "batched(d=2,B=16)"},
-	}
-	for _, c := range cases {
-		f, name, err := parsePolicy(c.in, c.d)
-		if err != nil {
-			t.Fatalf("parsePolicy(%q): %v", c.in, err)
-		}
-		if f == nil || name != c.want {
-			t.Errorf("parsePolicy(%q) = %q, want %q", c.in, name, c.want)
-		}
-	}
-	for _, bad := range []string{"", "zzz", "batched:", "batched:x", "batched:0"} {
-		if _, _, err := parsePolicy(bad, 2); err == nil {
-			t.Errorf("parsePolicy(%q) accepted", bad)
-		}
-	}
-}
-
 func TestParseChurn(t *testing.T) {
 	events, err := parseChurn("down@5:2, up@9:2,down@12:0")
 	if err != nil {
@@ -95,38 +67,36 @@ func TestRunEndToEnd(t *testing.T) {
 	if err := run([]string{"-spec", "4x1", "-ticks", "0"}); err == nil {
 		t.Error("zero ticks accepted")
 	}
-	if err := run([]string{"-nope"}); err == nil {
-		t.Error("bad flag accepted")
+	for _, flag := range []string{"-nope", "-legacy", "-policy=greedy", "-d=2", "-warmup=10"} {
+		if err := run([]string{"-spec", "4x1", "-ticks", "10", flag}); err == nil {
+			t.Errorf("unknown flag %s accepted", flag)
+		}
 	}
 }
 
-func TestRunLegacyEndToEnd(t *testing.T) {
-	if err := run([]string{"-legacy", "-spec", "4x1+1x5", "-arrivals", "4", "-ticks", "100"}); err != nil {
-		t.Fatalf("legacy run: %v", err)
-	}
-	if err := run([]string{"-legacy", "-spec", "4x1", "-arrivals", "2", "-ticks", "50", "-json"}); err != nil {
-		t.Fatalf("legacy run -json: %v", err)
-	}
-	if err := run([]string{"-legacy", "-spec", "4x1", "-policy", "zzz"}); err == nil {
-		t.Error("bad policy accepted")
-	}
-	if err := run([]string{"-legacy", "-spec", "8x1", "-arrivals", "4", "-ticks", "60", "-policy", "batched:8"}); err != nil {
-		t.Fatalf("batched policy: %v", err)
+// TestRunRejectsOutOfRange: horizons, timeouts and retry counts beyond
+// the engine's int32 tick stamps and int16 attempt counter fail by
+// name instead of wrapping (a wrapped timeout cut-off used to time
+// requests out early).
+func TestRunRejectsOutOfRange(t *testing.T) {
+	base := []string{"-spec", "8x1+2x10", "-arrivals", "5", "-ticks", "50"}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-timeout", "3000000000", "-retries", "1"}, "TimeoutTicks"},
+		{[]string{"-timeout", "8", "-retries", "40000"}, "MaxRetries"},
+		{[]string{"-ticks", "3000000000"}, "Ticks"},
+	} {
+		err := run(append(append([]string{}, base...), tc.args...))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want mention of %q", tc.args, err, tc.want)
+		}
 	}
 }
 
 func TestSumCaps(t *testing.T) {
 	if got := sumCaps([]int64{1, 2, 3}); got != 6 {
 		t.Fatalf("sumCaps = %d", got)
-	}
-}
-
-func TestPolicyNameInOutput(t *testing.T) {
-	_, name, err := parsePolicy("batched:4", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(name, "B=4") || !strings.Contains(name, "d=3") {
-		t.Fatalf("name %q", name)
 	}
 }

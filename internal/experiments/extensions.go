@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/bins"
 	"repro/internal/chash"
-	"repro/internal/cluster"
 	"repro/internal/dist"
 	"repro/internal/loadvec"
 	"repro/internal/protocol"
@@ -403,39 +402,55 @@ func extFairness(p Params) ([]*table.Table, error) {
 	return []*table.Table{tab}, nil
 }
 
-// extCluster sweeps utilisation in the queueing cluster simulator and
-// compares dispatch policies on mean response time and worst queue load.
+// extCluster sweeps utilisation on the cluster serving engine and
+// compares dispatch policies on mean response time and worst queue
+// load. One shard lets the d choices span all servers, and 1024 ring
+// points per capacity unit make the arc shares nearly proportional.
 func extCluster(p Params) ([]*table.Table, error) {
 	ticks := p.scaledN(2000, 300)
 	warmup := ticks / 10
-	capacities := []int64{1, 1, 1, 1, 1, 1, 1, 1, 10, 10} // C = 28
+	arr, err := bins.New([]int64{1, 1, 1, 1, 1, 1, 1, 1, 10, 10}) // C = 28
+	if err != nil {
+		return nil, err
+	}
+	cuts := make([]int64, 0, ticks-warmup)
+	for t := warmup + 1; t <= ticks; t++ {
+		cuts = append(cuts, int64(t))
+	}
 	tab := table.New(fmt.Sprintf("Extension: queueing cluster, response time by dispatch policy (%d ticks)", ticks),
 		"utilization_pct", "greedy_resp", "oblivious_resp", "single_resp",
 		"greedy_maxq", "oblivious_maxq", "single_maxq")
-	for _, arrivals := range []int{7, 14, 21, 25, 27} {
+	for _, arrivals := range []int64{7, 14, 21, 25, 27} {
 		row := []float64{100 * float64(arrivals) / 28}
 		var resp, maxq []float64
 		for _, f := range []protocol.Factory{
 			protocol.GreedyFactory(2), protocol.StandardFactory(2), protocol.SingleFactory(),
 		} {
-			res, err := cluster.Run(cluster.Config{
-				Capacities:      capacities,
-				ArrivalsPerTick: arrivals,
-				Ticks:           ticks,
-				WarmupTicks:     warmup,
-				Placer:          f,
-				Seed:            p.seed(),
+			res, err := sim.Dispatch(sim.RunSpec{
+				Config: sim.Config{
+					Array: arr, Placer: f, Seed: p.seed(), Workers: p.Workers,
+					ObsOptions: sim.ObsOptions{Checkpoints: cuts},
+				},
+				Engine:  sim.EngineCluster,
+				Shards:  1,
+				Cluster: &sim.ClusterParams{Ticks: ticks, ArrivalsPerTick: arrivals, VnodesPerUnit: 1024},
 			})
 			if err != nil {
 				return nil, err
 			}
-			resp = append(resp, res.ResponseTime.Mean())
-			maxq = append(maxq, res.MaxQueueLoad)
+			peak := 0.0
+			for _, r := range res.Checkpoints {
+				peak = max(peak, r.MaxLoad.Max())
+			}
+			resp = append(resp, res.Cluster.Latency.Mean())
+			maxq = append(maxq, peak)
 		}
 		row = append(row, resp...)
 		row = append(row, maxq...)
 		tab.MustAddRow(row...)
 	}
+	tab.Comment = fmt.Sprintf("cluster engine, one shard, ring arcs at 1024 vnodes per unit; "+
+		"resp = mean latency over all %d ticks (warm-up included), maxq = peak queue load after the %d-tick warm-up", ticks, warmup)
 	return []*table.Table{tab}, nil
 }
 

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/bins"
-	"repro/internal/cluster"
 	"repro/internal/fault"
 )
 
@@ -365,13 +364,13 @@ func chaosClusterConfig(t *testing.T, ctx context.Context) ClusterConfig {
 		Array: a, Ticks: 20, Arrivals: 80, Seed: 5, Shards: 4, Workers: 4,
 		// Purely scheduled churn: every site's tick is exact, so a plan
 		// pinned to {op, tick, peer} always fires.
-		Churn: cluster.ChurnPlan{
-			Schedule: []cluster.ChurnEvent{
+		Churn: ChurnPlan{
+			Schedule: []ChurnEvent{
 				{Tick: 2, Peer: 7, Down: true},
 				{Tick: 6, Peer: 7, Down: false},
 			},
 		},
-		Retry:         cluster.RetryPolicy{TimeoutTicks: 2, MaxRetries: 2, BackoffBase: 1},
+		Retry:         RetryPolicy{TimeoutTicks: 2, MaxRetries: 2, BackoffBase: 1},
 		ShedThreshold: 1.5,
 		Context:       ctx,
 	}

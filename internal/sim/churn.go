@@ -1,10 +1,13 @@
-// Churn and retry: the failure-model vocabulary of the churn-tolerant
-// cluster engine (internal/sim, Engine "cluster"). The types live here,
-// next to the queueing domain model, so the engine package depends on
-// the cluster domain and not the other way around.
-package cluster
+// Churn and retry: the failure-model vocabulary of the cluster engine
+// (cluster.go). Error texts keep their "cluster:" prefix, so a
+// rejection reads "sim: cluster: ..." once validate wraps it.
 
-import "fmt"
+package sim
+
+import (
+	"fmt"
+	"math"
+)
 
 // ChurnEvent is one scheduled membership change: peer Peer crashes
 // (Down) or recovers (!Down) at the START of tick Tick, before any
@@ -77,9 +80,11 @@ func (p *ChurnPlan) Validate(peers int) error {
 type RetryPolicy struct {
 	// TimeoutTicks is the queueing age (in ticks since dispatch) at
 	// which a request times out. 0 disables timeouts, and with them
-	// retries and failures.
+	// retries and failures. At most math.MaxInt32, the range of the
+	// engine's per-cohort tick stamps.
 	TimeoutTicks int
-	// MaxRetries bounds the re-dispatch attempts per request.
+	// MaxRetries bounds the re-dispatch attempts per request (at most
+	// math.MaxInt16, the range of the per-cohort attempt counter).
 	MaxRetries int
 	// BackoffBase is the first retry delay in ticks; attempt a waits
 	// BackoffBase·2^(a-1) ticks (0 defaults to 1).
@@ -97,6 +102,12 @@ func (p *RetryPolicy) Validate() error {
 	if p.BackoffBase < 0 {
 		return fmt.Errorf("cluster: BackoffBase = %d, need >= 0", p.BackoffBase)
 	}
+	if p.TimeoutTicks > math.MaxInt32 {
+		return fmt.Errorf("cluster: TimeoutTicks = %d, need <= %d", p.TimeoutTicks, math.MaxInt32)
+	}
+	if p.MaxRetries > math.MaxInt16 {
+		return fmt.Errorf("cluster: MaxRetries = %d, need <= %d", p.MaxRetries, math.MaxInt16)
+	}
 	if p.TimeoutTicks == 0 && p.MaxRetries > 0 {
 		return fmt.Errorf("cluster: MaxRetries = %d without TimeoutTicks: retries need a timeout", p.MaxRetries)
 	}
@@ -104,19 +115,17 @@ func (p *RetryPolicy) Validate() error {
 }
 
 // Backoff returns the delay in ticks before retry attempt a (1-based):
-// BackoffBase·2^(a-1), with a zero base treated as 1 and the shift
-// clamped so the delay can never overflow.
+// BackoffBase·2^(a-1), with a zero base treated as 1, the shift clamped
+// at 30 and the delay saturating at math.MaxInt32, so it never
+// overflows.
 func (p *RetryPolicy) Backoff(attempt int) int {
 	base := p.BackoffBase
 	if base == 0 {
 		base = 1
 	}
-	shift := attempt - 1
-	if shift < 0 {
-		shift = 0
-	}
-	if shift > 30 {
-		shift = 30
+	shift := min(max(attempt-1, 0), 30)
+	if base > math.MaxInt32>>shift {
+		return math.MaxInt32
 	}
 	return base << shift
 }

@@ -1,6 +1,9 @@
-package cluster
+package sim
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestChurnPlanValidate(t *testing.T) {
 	good := ChurnPlan{
@@ -85,4 +88,55 @@ func TestRetryPolicyBackoff(t *testing.T) {
 	if got := z.Backoff(1000); got != 1<<30 {
 		t.Fatalf("Backoff(1000) = %d, want %d", got, 1<<30)
 	}
+	// A large base saturates at MaxInt32 instead of overflowing.
+	for _, c := range []struct{ base, attempt int }{{3, 40}, {math.MaxInt32, 1}, {math.MaxInt32, 2}, {1 << 40, 1}} {
+		p := RetryPolicy{TimeoutTicks: 1, MaxRetries: 1, BackoffBase: c.base}
+		if got := p.Backoff(c.attempt); got != math.MaxInt32 {
+			t.Fatalf("base %d: Backoff(%d) = %d, want %d", c.base, c.attempt, got, math.MaxInt32)
+		}
+	}
+}
+
+// FuzzRetryChurnPolicy: validation never panics, and whatever it
+// accepts is safe for the engine. An accepted RetryPolicy's Backoff
+// stays in [1, MaxInt32] and never decreases over attempts 1..64; an
+// accepted ChurnPlan has probabilities in [0,1], ascending ticks and
+// every peer in range.
+func FuzzRetryChurnPolicy(f *testing.F) {
+	f.Add(3, 2, 1, 0.05, 0.3, uint8(6), []byte{2, 0, 1, 3, 5, 1, 6, 0, 0})
+	f.Add(math.MaxInt32, math.MaxInt16, math.MaxInt32, 0.0, 1.0, uint8(1), []byte{})
+	f.Add(math.MaxInt32+1, math.MaxInt16+1, 1<<40, 1.5, math.NaN(), uint8(0), []byte{255, 7, 1})
+	f.Add(-1, -1, -1, -0.5, 0.5, uint8(3), []byte{5, 0, 1, 3, 1, 0})
+	f.Fuzz(func(t *testing.T, timeout, retries, base int, crash, recov float64, peers uint8, sched []byte) {
+		rp := RetryPolicy{TimeoutTicks: timeout, MaxRetries: retries, BackoffBase: base}
+		if rp.Validate() == nil {
+			prev := 1
+			for a := 1; a <= 64; a++ {
+				d := rp.Backoff(a)
+				if d < prev || d > math.MaxInt32 {
+					t.Fatalf("%+v: Backoff(%d) = %d after %d", rp, a, d, prev)
+				}
+				prev = d
+			}
+		}
+		// Three bytes per event: tick and peer as signed bytes, so
+		// negative and out-of-order values occur, then the Down bit.
+		cp := ChurnPlan{CrashProb: crash, RecoverProb: recov}
+		for i := 0; i+2 < len(sched); i += 3 {
+			cp.Schedule = append(cp.Schedule, ChurnEvent{
+				Tick: int(int8(sched[i])), Peer: int(int8(sched[i+1])), Down: sched[i+2]&1 == 1,
+			})
+		}
+		if cp.Validate(int(peers)) != nil {
+			return
+		}
+		if !(crash >= 0 && crash <= 1 && recov >= 0 && recov <= 1) {
+			t.Fatalf("accepted probabilities %v, %v", crash, recov)
+		}
+		for i, e := range cp.Schedule {
+			if e.Tick < 0 || (i > 0 && e.Tick < cp.Schedule[i-1].Tick) || e.Peer < 0 || e.Peer >= int(peers) {
+				t.Fatalf("accepted event %d %+v of %+v with %d peers", i, e, cp.Schedule, peers)
+			}
+		}
+	})
 }

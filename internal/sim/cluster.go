@@ -17,7 +17,7 @@
 // dispatch → retry dispatch → service → timeout scan → observation →
 // commit.
 //
-//   - Churn (cluster.ChurnPlan): scheduled events apply first, then
+//   - Churn (ChurnPlan, churn.go): scheduled events apply first, then
 //     every peer consumes one Bernoulli draw from the tick's churn
 //     substream — in peer order, applied or not, so the draw sequence
 //     is frozen whatever the membership state. The last live peer is
@@ -91,7 +91,6 @@ import (
 
 	"repro/internal/bins"
 	"repro/internal/chash"
-	"repro/internal/cluster"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/protocol"
@@ -110,7 +109,8 @@ type ClusterConfig struct {
 	// Placer builds the per-shard dispatch policy (nil = Algorithm 1,
 	// d = 2) on queue-relative load.
 	Placer protocol.Factory
-	// Ticks is the horizon (>= 1).
+	// Ticks is the horizon (>= 1, <= math.MaxInt32: cohorts stamp
+	// ticks as int32).
 	Ticks int
 	// Arrivals is the per-tick request count (>= 0).
 	Arrivals int64
@@ -120,9 +120,9 @@ type ClusterConfig struct {
 	// selection probabilities.
 	VnodesPerUnit int
 	// Churn is the crash/recover plan (zero value = no churn).
-	Churn cluster.ChurnPlan
+	Churn ChurnPlan
 	// Retry is the timeout/retry policy (zero value = no timeouts).
-	Retry cluster.RetryPolicy
+	Retry RetryPolicy
 	// ShedThreshold arms admission control when > 0: arrivals that
 	// would push the total queue beyond threshold·(live capacity) are
 	// shed. 0 admits everything.
@@ -213,6 +213,9 @@ func (c *ClusterConfig) validate() (shards int, err error) {
 	}
 	if c.Ticks < 1 {
 		return 0, fmt.Errorf("sim: Ticks = %d, need >= 1", c.Ticks)
+	}
+	if c.Ticks > math.MaxInt32 {
+		return 0, fmt.Errorf("sim: Ticks = %d, need <= %d", c.Ticks, math.MaxInt32)
 	}
 	if c.Arrivals < 0 {
 		return 0, fmt.Errorf("sim: Arrivals = %d, need >= 0", c.Arrivals)

@@ -7,13 +7,14 @@ package sim
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/bins"
-	"repro/internal/cluster"
 	"repro/internal/obs"
+	"repro/internal/protocol"
 )
 
 func clusterArray(t testing.TB, caps ...int64) *bins.Array {
@@ -52,9 +53,9 @@ func traceOf(res *ClusterResult) clusterTrace {
 
 // stressPlan is the test-wide churn/retry/shedding configuration that
 // exercises every degraded-mode path at once.
-func stressPlan() (cluster.ChurnPlan, cluster.RetryPolicy) {
-	churn := cluster.ChurnPlan{
-		Schedule: []cluster.ChurnEvent{
+func stressPlan() (ChurnPlan, RetryPolicy) {
+	churn := ChurnPlan{
+		Schedule: []ChurnEvent{
 			{Tick: 2, Peer: 0, Down: true},
 			{Tick: 3, Peer: 5, Down: true},
 			{Tick: 6, Peer: 0, Down: false},
@@ -62,7 +63,7 @@ func stressPlan() (cluster.ChurnPlan, cluster.RetryPolicy) {
 		CrashProb:   0.05,
 		RecoverProb: 0.3,
 	}
-	retry := cluster.RetryPolicy{TimeoutTicks: 3, MaxRetries: 2, BackoffBase: 1}
+	retry := RetryPolicy{TimeoutTicks: 3, MaxRetries: 2, BackoffBase: 1}
 	return churn, retry
 }
 
@@ -86,12 +87,17 @@ func TestClusterValidation(t *testing.T) {
 		{"negative cancel", func(c *ClusterConfig) { c.CancelAfterTicks = -1 }, "CancelAfterTicks"},
 		{"bad crash prob", func(c *ClusterConfig) { c.Churn.CrashProb = 1.5 }, "CrashProb"},
 		{"bad schedule peer", func(c *ClusterConfig) {
-			c.Churn.Schedule = []cluster.ChurnEvent{{Tick: 0, Peer: 9, Down: true}}
+			c.Churn.Schedule = []ChurnEvent{{Tick: 0, Peer: 9, Down: true}}
 		}, "Peer"},
 		{"unsorted schedule", func(c *ClusterConfig) {
-			c.Churn.Schedule = []cluster.ChurnEvent{{Tick: 3, Peer: 0, Down: true}, {Tick: 1, Peer: 1, Down: true}}
+			c.Churn.Schedule = []ChurnEvent{{Tick: 3, Peer: 0, Down: true}, {Tick: 1, Peer: 1, Down: true}}
 		}, "out of order"},
 		{"retries without timeout", func(c *ClusterConfig) { c.Retry.MaxRetries = 2 }, "MaxRetries"},
+		{"ticks beyond int32", func(c *ClusterConfig) { c.Ticks = math.MaxInt32 + 1 }, "Ticks"},
+		{"timeout beyond int32", func(c *ClusterConfig) { c.Retry.TimeoutTicks = math.MaxInt32 + 1 }, "TimeoutTicks"},
+		{"retries beyond int16", func(c *ClusterConfig) {
+			c.Retry = RetryPolicy{TimeoutTicks: 1, MaxRetries: math.MaxInt16 + 1}
+		}, "MaxRetries"},
 		{"height bins", func(c *ClusterConfig) { c.HeightBins = 4 }, "cluster engine"},
 		{"shards out of range", func(c *ClusterConfig) { c.Shards = 7 }, "Shards"},
 		{"bad checkpoints", func(c *ClusterConfig) { c.Checkpoints = []int64{3, 2} }, "cuts"},
@@ -214,7 +220,7 @@ func TestClusterGoldenAvailabilityTrace(t *testing.T) {
 	a := clusterArray(t, 2, 3, 4, 5)
 	res, err := runCluster(ClusterConfig{
 		Array: a, Ticks: 10, Arrivals: 20, Seed: 3, Shards: 2,
-		Churn: cluster.ChurnPlan{Schedule: []cluster.ChurnEvent{
+		Churn: ChurnPlan{Schedule: []ChurnEvent{
 			{Tick: 2, Peer: 1, Down: true},
 			{Tick: 4, Peer: 3, Down: true},
 			{Tick: 6, Peer: 1, Down: false},
@@ -250,8 +256,8 @@ func TestClusterLastPeerNeverDies(t *testing.T) {
 	a := clusterArray(t, 2, 2, 2)
 	res, err := runCluster(ClusterConfig{
 		Array: a, Ticks: 8, Arrivals: 4, Seed: 1, Shards: 3,
-		Churn: cluster.ChurnPlan{
-			Schedule: []cluster.ChurnEvent{
+		Churn: ChurnPlan{
+			Schedule: []ChurnEvent{
 				{Tick: 0, Peer: 0, Down: true},
 				{Tick: 0, Peer: 1, Down: true},
 				{Tick: 0, Peer: 2, Down: true},
@@ -279,7 +285,7 @@ func TestClusterDeadPeerGetsNothing(t *testing.T) {
 	a := clusterArray(t, 3, 3, 3, 3)
 	res, err := runCluster(ClusterConfig{
 		Array: a, Ticks: 10, Arrivals: 20, Seed: 9, Shards: 2,
-		Churn: cluster.ChurnPlan{Schedule: []cluster.ChurnEvent{{Tick: 0, Peer: 2, Down: true}}},
+		Churn: ChurnPlan{Schedule: []ChurnEvent{{Tick: 0, Peer: 2, Down: true}}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -300,7 +306,7 @@ func TestClusterRetryFailureSplit(t *testing.T) {
 	a := clusterArray(t, 1)
 	res, err := runCluster(ClusterConfig{
 		Array: a, Ticks: 10, Arrivals: 5, Seed: 2, Shards: 1,
-		Retry: cluster.RetryPolicy{TimeoutTicks: 2},
+		Retry: RetryPolicy{TimeoutTicks: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -314,7 +320,7 @@ func TestClusterRetryFailureSplit(t *testing.T) {
 	}
 	res2, err := runCluster(ClusterConfig{
 		Array: a, Ticks: 10, Arrivals: 5, Seed: 2, Shards: 1,
-		Retry: cluster.RetryPolicy{TimeoutTicks: 2, MaxRetries: 3, BackoffBase: 2},
+		Retry: RetryPolicy{TimeoutTicks: 2, MaxRetries: 3, BackoffBase: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -324,6 +330,72 @@ func TestClusterRetryFailureSplit(t *testing.T) {
 	}
 	if res2.Admitted != res2.Completed+res2.Failed+res2.PendingRetry+res2.FinalQueued {
 		t.Fatalf("conservation: %+v", res2)
+	}
+}
+
+// TestClusterQueueingModel: the queueing behaviour of the paper's
+// servers-of-different-speeds framing, on servers {1,1,1,1,10,10}
+// (C = 24) with one shard, so the d choices span every server, and
+// 1024 ring points per capacity unit, so arc shares track capacities.
+func TestClusterQueueingModel(t *testing.T) {
+	const capacity = 24
+	run := func(t *testing.T, placer protocol.Factory, arrivals int64, ticks int) *ClusterResult {
+		cuts := make([]int64, ticks)
+		for i := range cuts {
+			cuts[i] = int64(i + 1)
+		}
+		res, err := runCluster(ClusterConfig{
+			Array: clusterArray(t, 1, 1, 1, 1, 10, 10), Placer: placer,
+			Ticks: ticks, Arrivals: arrivals, VnodesPerUnit: 1024, Seed: 3, Shards: 1,
+			ObsOptions: ObsOptions{Checkpoints: cuts},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	// meanPeak is the per-tick maximum queue-relative load, averaged
+	// over ticks.
+	meanPeak := func(res *ClusterResult) float64 {
+		var s float64
+		for _, r := range res.Checkpoints {
+			s += r.MaxLoad.Mean()
+		}
+		return s / float64(len(res.Checkpoints))
+	}
+	cases := []struct {
+		name  string
+		check func(t *testing.T)
+	}{
+		{"greedy_beats_single", func(t *testing.T) {
+			greedy := run(t, protocol.GreedyFactory(2), 21, 600)
+			single := run(t, protocol.SingleFactory(), 21, 600)
+			if g, s := meanPeak(greedy), meanPeak(single); g >= s {
+				t.Fatalf("greedy mean peak queue load %.3f not below single %.3f", g, s)
+			}
+			if g, s := greedy.Latency.Mean(), single.Latency.Mean(); g > s+0.5 {
+				t.Fatalf("greedy latency %.3f much worse than single %.3f", g, s)
+			}
+		}},
+		{"stable_at_half_load", func(t *testing.T) {
+			res := run(t, nil, 12, 400)
+			if res.FinalQueued > capacity {
+				t.Fatalf("backlog %d under 50%% load", res.FinalQueued)
+			}
+			if m := res.Latency.Mean(); m > 2 {
+				t.Fatalf("mean latency %.3f ticks under 50%% load", m)
+			}
+		}},
+		{"overload_grows_backlog", func(t *testing.T) {
+			const arrivals, ticks = 30, 400
+			res := run(t, nil, arrivals, ticks)
+			if want := int64((arrivals - capacity) * ticks / 2); res.FinalQueued < want {
+				t.Fatalf("backlog %d under overload, want >= %d", res.FinalQueued, want)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, tc.check)
 	}
 }
 

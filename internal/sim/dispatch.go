@@ -36,7 +36,6 @@ import (
 	"fmt"
 
 	"repro/internal/bins"
-	"repro/internal/cluster"
 	"repro/internal/protocol"
 )
 
@@ -134,9 +133,9 @@ type ClusterParams struct {
 	// VnodesPerUnit is the ring density (ClusterConfig.VnodesPerUnit).
 	VnodesPerUnit int
 	// Churn is the crash/recover plan.
-	Churn cluster.ChurnPlan
+	Churn ChurnPlan
 	// Retry is the timeout/retry policy.
-	Retry cluster.RetryPolicy
+	Retry RetryPolicy
 	// ShedThreshold arms admission control when > 0.
 	ShedThreshold float64
 	// LatencyMax is the latency histogram's top bucket in ticks (0 = 32).

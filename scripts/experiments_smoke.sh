@@ -17,6 +17,8 @@
 # (heterogeneous capacities) and fig14 (growth sweep — exercises the
 # default shard-count heuristic at several n). All three are
 # sharded-eligible: no per-repetition ArrayFn and no class tracking.
+# ext-cluster pins the cluster engine itself and must ignore -engine:
+# a cluster spec under an explicit sharded engine would be rejected.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -29,7 +31,7 @@ if [ -z "$BNBFIG" ]; then
 	go build -o "$BNBFIG" ./cmd/bnbfig
 fi
 
-FIGS="fig01 fig10 fig14"
+FIGS="fig01 fig10 fig14 ext-cluster"
 REPS=3
 SCALE=0.02
 SEED=20260808
