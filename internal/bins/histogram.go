@@ -98,6 +98,23 @@ func (h *LoadHistogram) CloneEmpty() *LoadHistogram {
 	return &LoadHistogram{classes: h.classes, capIdx: h.capIdx}
 }
 
+// CloneEmpties returns n empty histograms sharing the receiver's class
+// skeleton, their first counts matrices (minCounts cells each) carved
+// out of one allocation: the per-shard histograms of a sharded engine.
+// Each carve is capacity-limited, so a histogram that outgrows it
+// reallocates instead of spilling into its neighbour's.
+func (h *LoadHistogram) CloneEmpties(n int) []LoadHistogram {
+	nc := len(h.classes)
+	rows := (minCounts + nc - 1) / nc
+	per := rows * nc
+	flat := make([]int64, n*per)
+	hs := make([]LoadHistogram, n)
+	for i := range hs {
+		hs[i] = LoadHistogram{classes: h.classes, capIdx: h.capIdx, counts: flat[i*per : (i+1)*per : (i+1)*per], rows: rows}
+	}
+	return hs
+}
+
 // classIndex returns the class index of capacity c, or -1 when c is
 // not a class of this skeleton.
 func (h *LoadHistogram) classIndex(c int64) int {
@@ -128,19 +145,18 @@ func (h *LoadHistogram) Reset() {
 	h.nbins, h.nballs = 0, 0
 }
 
-// growRows extends the counts matrix to cover ball count hrow,
-// doubling to amortise; the appended rows are zero.
+// minCounts is the smallest counts matrix a histogram allocates: a
+// lightly loaded shard's histogram then allocates once, not once per
+// doubling, whatever its class count.
+const minCounts = 64
+
+// growRows extends the counts matrix to cover ball count hrow in one
+// allocation, doubling to amortise; the appended rows are zero.
 func (h *LoadHistogram) growRows(hrow int64) {
-	need := int(hrow) + 1
-	rows := h.rows * 2
-	if rows < need {
-		rows = need
-	}
 	nc := len(h.classes)
-	for len(h.counts) < rows*nc {
-		h.counts = append(h.counts, 0)
-	}
-	h.rows = len(h.counts) / nc
+	rows := max(h.rows*2, int(hrow)+1, (minCounts+nc-1)/nc)
+	h.counts = append(h.counts, make([]int64, rows*nc-len(h.counts))...)
+	h.rows = rows
 }
 
 // HistogramInto rebuilds h as the load histogram of a in one pass over

@@ -182,23 +182,50 @@ func checkHistogramAgainstScan(t *testing.T, a *Array, h *LoadHistogram) {
 	}
 }
 
-// TestHistogramMergeEqualsWhole pins the sharded contract: per-shard
+// FuzzLoadHistogramMerge pins the sharded contract: per-shard
 // histograms (over views sharing the parent skeleton) merged in shard
-// order are identical to one whole-array pass.
-func TestHistogramMergeEqualsWhole(t *testing.T) {
+// order are identical to one whole-array pass. Bin i has capacity
+// classes[capIdx[i] mod 3] and balls[i] balls (0 past the end of
+// balls). The seed corpus is the 25 random arrays and shard counts of
+// the former table test, drawn from the same generator stream.
+func FuzzLoadHistogramMerge(f *testing.F) {
+	classes := []int64{1, 2, 10}
 	r := xrand.New(99)
 	for trial := 0; trial < 25; trial++ {
-		a := randomArray(t, r, 2+r.Intn(300), []int64{1, 2, 10}, 25)
+		n := 2 + r.Intn(300)
+		capIdx, balls := make([]byte, n), make([]byte, n)
+		for i := range capIdx {
+			capIdx[i] = byte(r.Intn(len(classes)))
+		}
+		for i := range balls {
+			balls[i] = byte(r.Intn(26))
+		}
+		f.Add(capIdx, balls, uint8(1+r.Intn(8)))
+	}
+	f.Fuzz(func(t *testing.T, capIdx, balls []byte, shards uint8) {
+		n := len(capIdx)
+		if n == 0 || n > 4096 || shards == 0 {
+			t.Skip()
+		}
+		caps := make([]int64, n)
+		for i, b := range capIdx {
+			caps[i] = classes[int(b)%len(classes)]
+		}
+		a := MustNew(caps)
+		for i := 0; i < n && i < len(balls); i++ {
+			a.AddBalls(i, int64(balls[i]))
+		}
 		whole := a.NewLoadHistogram()
 		if err := a.HistogramInto(whole); err != nil {
 			t.Fatal(err)
 		}
 
-		shards := 1 + r.Intn(8)
-		merged := whole.CloneEmpty()
-		part := whole.CloneEmpty()
-		for s := 0; s < shards; s++ {
-			lo, hi := s*a.N()/shards, (s+1)*a.N()/shards
+		// Every part is built before any merge, so a part that outgrew
+		// its carve of the shared backing and spilled into its
+		// neighbour's would show.
+		parts := whole.CloneEmpties(int(shards))
+		for s := range parts {
+			lo, hi := s*n/int(shards), (s+1)*n/int(shards)
 			if lo >= hi {
 				continue
 			}
@@ -206,10 +233,13 @@ func TestHistogramMergeEqualsWhole(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := v.HistogramInto(part); err != nil {
+			if err := v.HistogramInto(&parts[s]); err != nil {
 				t.Fatal(err)
 			}
-			if err := merged.Merge(part); err != nil {
+		}
+		merged := whole.CloneEmpty()
+		for s := range parts {
+			if err := merged.Merge(&parts[s]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -223,7 +253,15 @@ func TestHistogramMergeEqualsWhole(t *testing.T) {
 		if merged.MaxLoad() != whole.MaxLoad() {
 			t.Fatalf("merged MaxLoad %v, whole %v", merged.MaxLoad(), whole.MaxLoad())
 		}
-	}
+		// Levels up to the largest possible load (255 balls in a unit
+		// bin), so every height row is exercised.
+		got, want := make([]int64, 256), make([]int64, 256)
+		merged.CountAtOrAbove(got)
+		whole.CountAtOrAbove(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("merged CountAtOrAbove %v, whole %v", got, want)
+		}
+	})
 }
 
 func TestHistogramMergeSkeletonMismatch(t *testing.T) {

@@ -153,7 +153,7 @@ func TestRunLargeCancelImmediate(t *testing.T) {
 	if res == nil || res.N != 400 || res.Shards != 4 {
 		t.Fatalf("partial shape %+v", res)
 	}
-	if len(res.Checkpoints) != 0 || res.Array != nil {
+	if len(res.Checkpoints) != 0 || res.Array != nil || res.ShardBalls != nil {
 		t.Fatalf("pre-routing partial carries state: %+v", res)
 	}
 }
@@ -201,6 +201,15 @@ func TestRunLargeCancelCheckpointPrefix(t *testing.T) {
 	}
 	if len(res.Checkpoints) != done {
 		t.Fatalf("partial has %d rows, CompletedCuts %d", len(res.Checkpoints), done)
+	}
+	// Cancellation lands in placement, after routing completed: the
+	// partial carries every routed ball.
+	var routed int64
+	for _, c := range res.ShardBalls {
+		routed += c
+	}
+	if res.ShardBalls == nil || routed != res.Balls {
+		t.Fatalf("partial ShardBalls %v sum to %d, want Balls %d", res.ShardBalls, routed, res.Balls)
 	}
 	if !reflect.DeepEqual(res.Checkpoints, want.Checkpoints[:done]) {
 		t.Fatalf("cancelled rows differ from the uninterrupted prefix:\n got  %+v\n want %+v",

@@ -1,11 +1,14 @@
-// Unified engine dispatch: one RunSpec, one entry point, three engines.
+// Unified engine dispatch: one RunSpec, one entry point, five engines.
 //
-// The repo grew three ways to run the balls-into-bins game — the
-// classic chunked engine (Run), the sharded Monte-Carlo engine
-// (RunLargeMonte) and the closed-form multinomial engine (RunClosed) —
-// each with its own sweet spot. Dispatch hides the choice behind a
-// single spec so the figure/validate/tune harness can ask for "this
-// game, these observables, at this n" and get the right engine:
+// The repo runs the balls-into-bins game six ways, each with its own
+// sweet spot. Five sit behind Dispatch: the classic chunked engine
+// (Run), the sharded Monte-Carlo engine (RunLargeMonte), the
+// closed-form multinomial engine (RunClosed), the streaming engine and
+// the cluster serving engine. The sixth, the sharded single run
+// (RunLarge), is repetition 0 of the sharded Monte-Carlo engine and is
+// called directly. Dispatch hides the choice behind a single spec so
+// the figure/validate/tune harness can ask for "this game, these
+// observables, at this n" and get the right engine:
 //
 //   - classic: the reference engine. Supports every observable
 //     (random arrays, per-ball heights, per-class vectors) at any n a
@@ -18,6 +21,9 @@
 //   - closed-form: RunClosed. Single-choice protocols only; one
 //     Multinomial(m, p) draw per repetition, O(n + checkpoints·n) per
 //     rep with no per-ball work at all.
+//   - stream and cluster: selected by RunSpec.Stream and
+//     RunSpec.Cluster (see EngineStream and EngineCluster); Dispatch is
+//     their only entry point.
 //
 // # Determinism contract
 //

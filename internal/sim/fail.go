@@ -1,5 +1,5 @@
 // Fault-tolerant execution layer, part 1: the failure and cancellation
-// vocabulary shared by all three engines.
+// vocabulary shared by every engine (the names below).
 //
 // # Cooperative cancellation
 //
@@ -57,8 +57,8 @@ var ErrCancelled = errors.New("sim: run cancelled")
 // that returns it ALSO returns a non-nil partial result; the fields
 // here describe which deterministic prefix that partial covers.
 type CancelledError struct {
-	// Engine is the engine that was cancelled ("Run", "RunLarge",
-	// "RunLargeMonte").
+	// Engine is the engine that was cancelled: "Run", "RunLarge",
+	// "RunLargeMonte", "RunClosed", "RunStream" or "RunCluster".
 	Engine string
 	// CompletedReps is the folded repetition prefix of the partial
 	// (Run, RunLargeMonte): aggregates cover reps [0, CompletedReps)

@@ -1,6 +1,10 @@
 // Sharded single-run engine: one huge repetition (n up to 10^7 bins)
 // partitioned across workers, so a single game scales across cores the
-// way Run scales repetitions.
+// way Run scales repetitions. A single run is repetition 0 of the
+// per-repetition core in monte.go, which RunLargeMonte repeats; this
+// file holds the model, the configuration, the shard plan every
+// sharded engine shares, and RunLarge's mapping of the core's state
+// onto LargeResult.
 //
 // # Model and determinism contract
 //
@@ -50,7 +54,6 @@ package sim
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -281,208 +284,76 @@ func finalState(eng string, arr *bins.Array, levels int, balls int64) (float64, 
 	return h.MaxLoad(), hl.Rows(), nil
 }
 
-// Task kinds of RunLarge's two phases.
-const (
-	largeRoute = iota
-	largePlace
-)
-
-var largeTaskNames = []string{"route", "place"}
-
-// largeRun is RunLarge's working set: everything the phase tasks read
-// or write, filled by the orchestrator strictly between the phases.
-type largeRun struct {
-	shardedBase
-	pool               phasePool
-	run                phaseRunner
-	seed, rbase        uint64
-	m                  int64
-	rg                 int
-	groups             []routeGroup
-	cutBlocks, cutRems []int64
-	counts             []int64
-	views              []*bins.Array
-	// prefix[k][s] is shard s's block-aligned ball count at cut k;
-	// track[k][s] shard s's local running max there. Each shard writes
-	// only its own column, so any worker schedule produces the same
-	// matrices.
-	prefix [][]int64
-	track  [][]float64
-	// cutsDone[s] is how many checkpoint cuts shard s fully placed and
-	// tracked — the bookkeeping behind the cancelled partial's cut
-	// prefix. Non-nil only when cancellation is armed and a cut is
-	// reachable.
-	cutsDone []int
-}
-
-// do is RunLarge's task switch for its phase runner.
-func (l *largeRun) do(kind, idx int) error {
-	if kind == largeRoute {
-		l.groups[idx].route(&l.run, l.rbase, l.router, l.m, idx, l.rg, l.cutBlocks, l.cutRems)
-		return nil
-	}
-	return l.placeShard(idx)
-}
-
-// RunLarge executes one sharded single run. See the package comment of
-// this file for the model and the determinism contract.
+// RunLarge executes one sharded single run: repetition 0 of the
+// per-repetition core (monte.go) on one state over the engine's own
+// array, driven from the calling goroutine. See the package comment
+// of this file for the model and the determinism contract.
 //
 // When cfg.Context is cancelled mid-run, RunLarge returns a partial
 // *LargeResult together with a *CancelledError: the partial carries
-// the longest checkpoint-cut prefix every shard completed (rows
-// bit-identical to the corresponding rows of an uninterrupted run) but
-// no final array state. A panic in any routing or placement task
-// surfaces as a *PanicError, never as a crash or a hang.
+// the routed counts (nil before routing completed) and the longest
+// checkpoint-cut prefix every shard completed (rows bit-identical to
+// the corresponding rows of an uninterrupted run) but no final array
+// state. A panic in any routing or placement task surfaces as a
+// *PanicError, never as a crash or a hang.
 func RunLarge(cfg LargeConfig) (*LargeResult, error) {
 	shards, err := cfg.validate()
 	if err != nil {
 		return nil, err
 	}
-	cc := newCanceller(cfg.Context)
-	base, err := newDistBase(engRunLarge, cfg.Array, cfg.AdoptArray, cfg.Dist, cfg.Placer, shards, cfg.Workers)
+	c, err := newRepCore(engRunLarge, &LargeMonteConfig{LargeConfig: cfg}, shards)
 	if err != nil {
 		return nil, err
 	}
-	arr := base.arr
-	n := arr.N()
-	m := (&Config{Balls: cfg.Balls, BallsFactor: cfg.BallsFactor}).ballCount(arr.TotalCapacity())
-	cuts, _ := obs.NormalizeCuts(cfg.Checkpoints) // validated above
-	nCuts := obs.CountReached(cuts, m)
-	l := &largeRun{
-		shardedBase: base,
-		seed:        cfg.Seed,
-		rbase:       xrand.Mix64(cfg.Seed, 0),
-		m:           m,
-		rg:          base.routeWidth(m),
-		counts:      make([]int64, shards),
-		views:       make([]*bins.Array, shards),
-	}
-	l.groups = newRouteGroups(l.rg, shards, nCuts)
-	l.cutBlocks, l.cutRems = cutPlan(cuts[:nCuts])
-	var realized []int64
-	if nCuts > 0 {
-		l.prefix = make([][]int64, nCuts)
-		l.track = make([][]float64, nCuts)
-		flat := make([]int64, nCuts*shards)
-		for k := range l.prefix {
-			l.prefix[k] = flat[k*shards : (k+1)*shards]
-		}
-		realized = make([]int64, nCuts)
-		if cc != nil {
-			l.cutsDone = make([]int, shards)
-		}
-	}
-
-	// ONE phase pool (pool.go) serves both phases — routing groups
-	// first, then per-shard placement.
-	l.pool.start(min(base.workers, max(shards, l.rg)))
-	defer l.pool.stop()
-	l.run = phaseRunner{pool: &l.pool, cc: cc, engine: engRunLarge, names: largeTaskNames, tasks: l}
-
-	// Phase 1 — block-wise multinomial routing on stream 0 (see
-	// route.go): only the per-shard counts exist (plus, when
-	// checkpoints are requested, the per-cut routing prefixes),
-	// because within a shard the placement order is the shard's own
-	// affair.
-	err = l.run.runPhase(largeRoute, l.rg, "routing group")
-	if errors.Is(err, errAbandoned) {
-		// Routing did not complete: no counts, no cuts — the partial
-		// carries only the run's identity.
-		return l.partial(cuts, realized, 0, nil)
-	}
+	st, err := newRepState(c, c.arr)
 	if err != nil {
 		return nil, err
 	}
-	mergeRouteGroups(l.groups, l.counts, l.prefix)
-	if nCuts > 0 {
-		obs.AlignShardCuts(l.prefix, protocol.BlockSize, realized)
-		tflat := make([]float64, nCuts*shards)
-		for k := range l.track {
-			l.track[k] = tflat[k*shards : (k+1)*shards]
-		}
-	}
-
-	// Shard views are built sequentially, between the phases (no task
-	// is in flight here — phase 1 is fully drained): Array.Shard is a
-	// parent method, and the bins.Shard contract forbids running
-	// parent methods while views mutate concurrently. A shard with no
-	// routed balls gets no view and no placer — which also keeps
-	// zero-weight shards (e.g. under a top-only distribution) from
-	// failing the placer build.
-	for s := 0; s < shards; s++ {
-		if l.counts[s] == 0 {
-			continue
-		}
-		if l.views[s], err = arr.Shard(l.bounds[s], l.bounds[s+1]); err != nil {
-			return nil, fmt.Errorf("sim: RunLarge shard %d: %w", s, err)
-		}
-	}
-
-	// Phase 2 — parallel per-shard placement. Shard s touches only its
-	// own view, placer and stream, so any scheduling of shards onto
-	// workers produces identical bits. Placer construction (alias
-	// table builds, O(shard size)) runs inside the workers too: it
-	// reads only the shard's own weights slice and view.
-	err = l.run.runPhase(largePlace, shards, "shard")
-	if errors.Is(err, errAbandoned) {
+	c.pool.start(c.poolWidth(1))
+	defer c.pool.stop()
+	err = st.runRep(0)
+	res := &LargeResult{N: c.arr.N(), Shards: shards, Balls: c.m}
+	cuts, done := c.allCuts, len(c.cuts)
+	if err == errAbandoned {
 		// The array holds partially placed shards — inconsistent as a
-		// final state, but the checkpoint cuts every shard completed
-		// are exactly the rows an uninterrupted run would report: the
-		// partial is the longest complete cut prefix.
-		done := 0
-		if l.cutsDone != nil {
-			done = slices.Min(l.cutsDone)
+		// final state, but the cuts every shard completed are exactly
+		// the rows an uninterrupted run would report: the partial has
+		// the routed counts (nil before routing completed) and the
+		// longest complete cut prefix, as a non-nil slice even when
+		// empty.
+		done = 0
+		if st.routed {
+			res.ShardBalls = st.counts
+			if len(st.cutsDone) > 0 {
+				done = slices.Min(st.cutsDone)
+			}
 		}
-		return l.partial(cuts, realized, done, l.counts)
-	}
-	if err != nil {
+		cuts = cuts[:done]
+	} else if err != nil {
 		return nil, err
 	}
-
-	res := &LargeResult{N: n, Shards: shards, Balls: m, ShardBalls: l.counts, Array: arr}
-	if len(cuts) > 0 {
-		res.Checkpoints = l.checkpointRows(cuts, realized, nCuts)
+	if len(c.allCuts) > 0 {
+		cp := obs.NewCheckpoints(cuts)
+		st.observeCuts(cp, done)
+		res.Checkpoints = cp.Rows()
 	}
-	max, heights, err := finalState(engRunLarge, arr, cfg.HeightLevels, m)
 	if err != nil {
-		return nil, err
+		return res, &CancelledError{Engine: engRunLarge, CompletedReps: -1, CompletedCuts: done, CompletedRounds: -1, CompletedTicks: -1, Cause: c.cc.err()}
 	}
-	avg := arr.AverageLoad()
-	res.MaxLoad = max
-	res.AvgLoad = avg
-	res.Deviation = max - avg
-	res.HeightCounts = heights
+	if st.hists != nil {
+		// The histogram summary never reads the bins: recount the
+		// array's cached ball total for the caller.
+		c.arr.Recount()
+	}
+	res.MaxLoad, res.AvgLoad, res.Deviation = st.max, st.avg, st.max-st.avg
+	res.ShardBalls = st.counts
+	if st.hlCounts != nil {
+		hl := obs.NewHeights(c.levels)
+		hl.Observe(st.hlCounts)
+		res.HeightCounts = hl.Rows()
+	}
+	res.Array = c.arr
 	return res, nil
-}
-
-// checkpointRows observes the first done cuts from the per-shard tracks.
-// A cut so small that every shard's block-aligned prefix is empty
-// realises no state at all; it is skipped like a cut beyond m (visible
-// through Reps) instead of recording a fictitious max load of 0.
-func (l *largeRun) checkpointRows(cuts, realized []int64, done int) []obs.CheckpointRow {
-	cp := obs.NewCheckpoints(cuts)
-	c := l.arr.TotalCapacity()
-	maxs := make([]float64, done)
-	combineShardMaxima(l.track[:done], maxs)
-	for k := 0; k < done; k++ {
-		if realized[k] == 0 {
-			continue
-		}
-		cp.Observe(k, realized[k], c, maxs[k])
-	}
-	return cp.Rows()
-}
-
-// partial is the cancelled exit: the run's identity, the routed
-// counts (nil before routing completed) and, when checkpoints were
-// requested, exactly the done leading rows — a non-nil slice even when
-// done is 0.
-func (l *largeRun) partial(cuts, realized []int64, done int, shardBalls []int64) (*LargeResult, error) {
-	res := &LargeResult{N: l.arr.N(), Shards: len(l.counts), Balls: l.m, ShardBalls: shardBalls}
-	if len(cuts) > 0 {
-		res.Checkpoints = l.checkpointRows(cuts[:done], realized, done)
-	}
-	return res, &CancelledError{Engine: engRunLarge, CompletedReps: -1, CompletedCuts: done, CompletedRounds: -1, CompletedTicks: -1, Cause: l.run.cc.err()}
 }
 
 // shardPlan computes the contiguous shard boundaries, each shard's
@@ -508,59 +379,6 @@ func shardPlan(weights []float64, n, shards int) (bounds []int, shardW []float64
 		return nil, nil, nil, err
 	}
 	return bounds, shardW, router, nil
-}
-
-// placeShard runs shard s's game: its own pre-built view, its own
-// alias tables and its own RNG stream. A nil view means no balls were
-// routed here — every cut is trivially complete. When checkpoint cuts
-// are requested (prefix[k][s] is the block-aligned count of this
-// shard's balls at cut k), placement is segmented at the cuts and the
-// shard-local running max is recorded into track[k][s]. Segmenting
-// PlaceBatch never moves a draw — PlaceBatch(a)+PlaceBatch(b) consumes
-// exactly the draws of PlaceBatch(a+b) — so the final state is
-// bit-identical with and without checkpoints (pinned by tests).
-func (l *largeRun) placeShard(s int) error {
-	done := len(l.prefix)
-	if view := l.views[s]; view != nil {
-		placer, err := l.factory(view, l.weights[l.bounds[s]:l.bounds[s+1]])
-		if err != nil {
-			return err
-		}
-		rs := xrand.NewStream(l.seed, uint64(s)+1)
-		done, _ = placeShardSegments(&l.run, placer, view, rs, l.counts[s], s, l.prefix, l.track)
-	}
-	if l.cutsDone != nil {
-		l.cutsDone[s] = done
-	}
-	return nil
-}
-
-// placeShardSegments runs one shard's placement, segmented at the
-// block-aligned cuts (cuts[k][s]), recording the shard-local running
-// max into track[k][s]. It is shared by RunLarge's placeShard and
-// RunLargeMonte's placement tasks so the cut schedule can never
-// diverge between the engines — the "Reps = 1 reproduces a
-// checkpointed RunLarge bit for bit" contract depends on both using
-// this exact schedule. With no cuts it is a single PlaceBatch per
-// cancellation stride. It returns the number of fully completed cuts
-// and whether the whole count was placed (false only under
-// cancellation).
-func placeShardSegments(r *phaseRunner, placer protocol.Placer, view *bins.Array, rs *xrand.Rand, count int64, s int, cuts [][]int64, track [][]float64) (cutsDone int, ok bool) {
-	placed := int64(0)
-	for k := range cuts {
-		cut := cuts[k][s]
-		if !placeSegment(r, s, placer, view, rs, cut-placed) {
-			return k, false
-		}
-		placed = cut
-		if cut > 0 {
-			track[k][s] = view.MaxLoad()
-		}
-	}
-	if !placeSegment(r, s, placer, view, rs, count-placed) {
-		return len(cuts), false
-	}
-	return len(cuts), true
 }
 
 // placeSegment places one segment of shard s's balls. Without
@@ -594,20 +412,4 @@ func placeSegment(r *phaseRunner, s int, placer protocol.Placer, view *bins.Arra
 		placed += n
 	}
 	return true
-}
-
-// combineShardMaxima reduces the per-shard cut maxima spatially:
-// out[k] = max over shards of track[k][s] — a pure max in shard
-// order, order-independent for finite floats, so any worker schedule
-// that filled track produces the same combination.
-func combineShardMaxima(track [][]float64, out []float64) {
-	for k := range track {
-		max := 0.0
-		for _, v := range track[k] {
-			if v > max {
-				max = v
-			}
-		}
-		out[k] = max
-	}
 }

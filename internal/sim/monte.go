@@ -1,27 +1,32 @@
-// Sharded Monte-Carlo engine: R repetitions of the sharded single-run
-// game (RunLarge), scheduled as a two-level pipeline so that huge-n
-// aggregates — the regime where the paper's gap bounds become
-// empirically sharp — run at full machine width without holding more
-// than a handful of bin arrays in memory.
+// Sharded Monte-Carlo engine, and the per-repetition core both sharded
+// engines run on.
+//
+// # The per-repetition core
+//
+// One repetition of the sharded game (see large.go for the model) is
+// a repState driven through the run's phase pool (pool.go):
+//
+//	route blocks → reset shards → place shards in parallel → summarise
+//
+// The reset phase runs only when the state's array holds an earlier
+// repetition, and a shard builds its placer on its first place task,
+// so set-up is parallel too. RunLarge is repetition 0 on one state
+// over its own array, run from the calling goroutine. RunLargeMonte
+// runs R repetitions on min(Workers, Reps) states.
 //
 // # Scheduling model
 //
 // All CPU work (routing blocks, shard resets, per-shard placement,
-// per-repetition summaries) executes on ONE phase pool (pool.go) of
-// cfg.Workers goroutines. On top of it, min(Workers, Reps) repetition
-// orchestrators each own a phase runner over that pool and a single
-// reusable bin-array clone (plus its shard views, per-shard placers and
-// routing groups, built once and reset between repetitions), and pump
-// their repetitions through the pool phase by phase:
-//
-//	route blocks(rep) → reset shards → place shards in parallel → summarise
-//
+// per-repetition summaries) executes on ONE phase pool, sized to what
+// the in-flight repetitions can keep busy and never above
+// cfg.Workers. On top of it, min(Workers, Reps) repetition
+// orchestrators each own a repState over a private array clone and
+// pump their repetitions through the pool phase by phase.
 // Orchestrators only coordinate — they never burn a core — so shard
-// tasks of one repetition overlap the routing blocks of the next, and
-// total CPU concurrency never exceeds Workers. Peak memory is
-// min(Workers, Reps) bin arrays plus one O(Reps)-free running summary:
-// O(Shards · shardSize) per in-flight repetition, never O(Reps · n),
-// so n = 10^7 with hundreds of repetitions fits in RAM.
+// tasks of one repetition overlap the routing blocks of the next.
+// Peak memory is min(Workers, Reps) bin arrays plus one O(Reps)-free
+// running summary, never O(Reps · n), so n = 10^7 with hundreds of
+// repetitions fits in RAM.
 //
 // # Determinism contract
 //
@@ -29,25 +34,25 @@
 // rep·(Shards+1): its routing blocks draw from the substreams of
 // stream rep·(Shards+1) (block b from (Seed, rep·(Shards+1), b) — see
 // route.go) and shard s places from stream rep·(Shards+1)+1+s of the
-// base seed. Repetition 0 therefore consumes exactly the streams of
-// RunLarge — RunLargeMonte with Reps = 1 reproduces RunLarge bit for
-// bit — and every repetition is a pure function of (capacities,
-// distribution, protocol, balls, Seed, Shards, rep). Aggregation folds
-// repetition summaries strictly in repetition order (a turn-based
-// in-order fold), so every accumulator and the mean load vector are
-// bit-identical for any Workers value. Shards and the routing-block
-// structure remain part of the model, exactly as in RunLarge.
+// base seed. Repetition 0 is RunLarge, and every repetition is a pure
+// function of (capacities, distribution, protocol, balls, Seed,
+// Shards, rep). Aggregation folds repetition summaries strictly in
+// repetition order (a turn-based in-order fold), so every accumulator
+// and the mean load vector are bit-identical for any Workers value.
+// Shards and the routing-block structure remain part of the model,
+// exactly as in RunLarge.
 package sim
 
 import (
 	"fmt"
+	"slices"
 	"sync"
+	"unsafe"
 
 	"repro/internal/bins"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/protocol"
-	"repro/internal/sampling"
 	"repro/internal/stats"
 	"repro/internal/xrand"
 )
@@ -154,10 +159,13 @@ type monteAgg struct {
 	ss    *obs.ShardStats
 }
 
-// fold blocks until it is rep's turn, runs fn under the aggregation
-// lock (skipped once an earlier repetition has failed or the prefix
-// was capped below rep), and passes the turn on. Every repetition must
-// take its turn exactly once — fold, foldCancelled or abort — or the
+// fold blocks until it is rep's turn and passes the turn on. With a
+// non-nil fn it folds the repetition under the aggregation lock
+// (skipped once an earlier repetition has failed or the prefix was
+// capped below rep); with a nil fn the repetition was cancelled, and
+// the folded prefix is capped at rep — the partial result then covers
+// exactly the repetitions below the earliest cancelled one. Every
+// repetition must take its turn exactly once — fold or abort — or the
 // turn chain stalls.
 func (ag *monteAgg) fold(rep int, fn func(ag *monteAgg)) {
 	ag.mu.Lock()
@@ -168,28 +176,11 @@ func (ag *monteAgg) fold(rep int, fn func(ag *monteAgg)) {
 		ag.mu.Unlock()
 		return
 	}
-	if ag.err == nil && rep < ag.stopAt {
+	switch {
+	case fn == nil:
+		ag.stopAt = min(ag.stopAt, rep)
+	case ag.err == nil && rep < ag.stopAt:
 		fn(ag)
-	}
-	ag.next++
-	ag.cond.Broadcast()
-	ag.mu.Unlock()
-}
-
-// foldCancelled takes rep's fold turn without folding and caps the
-// folded prefix at rep: the partial result then covers exactly the
-// repetitions below the earliest cancelled one.
-func (ag *monteAgg) foldCancelled(rep int) {
-	ag.mu.Lock()
-	for ag.next != rep && !ag.aborted {
-		ag.cond.Wait()
-	}
-	if ag.aborted {
-		ag.mu.Unlock()
-		return
-	}
-	if rep < ag.stopAt {
-		ag.stopAt = rep
 	}
 	ag.next++
 	ag.cond.Broadcast()
@@ -217,279 +208,366 @@ func (ag *monteAgg) failed() bool {
 	return ag.err != nil
 }
 
-// monteRepState is one orchestrator's reusable per-repetition state:
-// its own array clone, shard views, per-shard placers and generators,
-// and routing groups (built once, reset between repetitions), routing
-// counts and summary scratch. It is touched by pool tasks of at most
-// one repetition at a time.
-type monteRepState struct {
+// repCore is the run-wide half of the per-repetition core, shared by
+// every state of a run: the shard plan, the ball count, the reached
+// checkpoint cuts with their routing plan, and the phase pool every
+// repetition dispatches to. RunLarge and RunLargeMonte both plan
+// through newRepCore, so their repetitions cannot diverge.
+type repCore struct {
+	shardedBase
+	engine    string
+	cc        *canceller // nil when the run has no context
+	pool      phasePool
+	seed      uint64
+	m         int64
+	allCuts   []int64 // the normalized requested cuts
+	cuts      []int64 // the prefix of allCuts reached within m
+	cutBlocks []int64 // cutPlan(cuts)
+	cutRems   []int64
+	rg        int // routing groups per repetition
+	levels    int // HeightLevels
+	// proto is the class skeleton every shard and whole-array
+	// histogram clones (nil when neither the load vector nor height
+	// counts are requested): one skeleton is what makes shard merges
+	// exact, and it keeps CapacityClasses out of the per-repetition
+	// path.
+	proto      *bins.LoadHistogram
+	shardStats bool
+}
+
+// newRepCore plans the sharded run cfg describes over shards shards
+// (cfg already validated).
+func newRepCore(eng string, cfg *LargeMonteConfig, shards int) (*repCore, error) {
+	base, err := newDistBase(eng, cfg.Array, cfg.AdoptArray, cfg.Dist, cfg.Placer, shards, cfg.Workers)
+	if err != nil {
+		return nil, err
+	}
+	c := &repCore{shardedBase: base, engine: eng, cc: newCanceller(cfg.Context), seed: cfg.Seed, levels: cfg.HeightLevels, shardStats: cfg.ShardStats}
+	c.m = (&Config{Balls: cfg.Balls, BallsFactor: cfg.BallsFactor}).ballCount(base.arr.TotalCapacity())
+	c.allCuts, _ = obs.NormalizeCuts(cfg.Checkpoints) // validated by the caller
+	c.cuts = c.allCuts[:obs.CountReached(c.allCuts, c.m)]
+	c.cutBlocks, c.cutRems = cutPlan(c.cuts)
+	c.rg = base.routeWidth(c.m)
+	if cfg.CollectLoadVector || cfg.HeightLevels > 0 {
+		c.proto = base.arr.NewLoadHistogram()
+	}
+	return c, nil
+}
+
+// poolWidth sizes the phase pool for inflight concurrent repetitions:
+// no more workers than their widest phases can keep busy.
+func (c *repCore) poolWidth(inflight int) int {
+	return min(c.workers, inflight*max(len(c.shardW), c.rg))
+}
+
+// repState is one repetition's reusable working set: an array (the
+// engine's own in RunLarge, an orchestrator's private clone in
+// RunLargeMonte), its shard views, per-shard placers and generators,
+// routing groups, routing counts and summary scratch. Tasks of at most
+// one repetition touch it at a time.
+type repState struct {
+	c       *repCore
 	arr     *bins.Array
 	views   []*bins.Array     // nil for zero-weight shards (never routed to)
-	placers []protocol.Placer // nil iff views[s] is nil
-	rands   []xrand.Rand      // per-shard placement generators, re-seeded each rep
+	placers []protocol.Placer // built by the shard's first place task
+	rands   []shardRand       // per-shard placement generators, re-seeded each rep
 	counts  []int64
 	max     float64
 	avg     float64
+	// used is set once a repetition has run on arr, so the next one
+	// resets the views first; routed once the running repetition's
+	// routing counts are merged.
+	used, routed bool
 
-	// Per-shard load histograms (non-nil iff the run requests a
-	// distribution-shaped observable: load vector or height counts).
-	// The place phase rebuilds each routed shard's histogram over its
-	// own view in parallel; the summary phase merges them in shard
-	// order into histAll — exact integer addition, so the merged
-	// histogram is identical to a whole-array pass for any worker count. All share the master
-	// array's class skeleton, which is what makes the shard views'
-	// histograms mergeable.
-	hists   []*bins.LoadHistogram
-	histAll *bins.LoadHistogram
+	// Per-shard load histograms (non-nil iff c.proto is). The place
+	// phase rebuilds each routed shard's histogram over its own view
+	// in parallel; the summary phase merges them in shard order into
+	// histAll — exact integer addition, so the merged histogram is
+	// identical to a whole-array pass for any worker count.
+	hists   []bins.LoadHistogram
+	histAll bins.LoadHistogram
 
-	// Per-repetition task parameters, set by runRep before submitting
-	// any task of the repetition (tasks of at most one repetition
-	// touch the state at a time, so plain fields suffice).
-	seed   uint64
-	base   uint64 // stream base rep·(shards+1)
-	rbase  uint64 // Mix64(seed, base): the routing substream base
-	m      int64
-	router *sampling.Multinomial
+	// Per-repetition stream parameters, set by runRep before any task
+	// of the repetition.
+	base  uint64 // stream base rep·(shards+1)
+	rbase uint64 // Mix64(seed, base): the routing substream base
 
-	// run is the orchestrator's phase runner over the shared pool; it
-	// carries the run's shared canceller (nil when no Context) and the
-	// repetition being run (run.rep).
-	run phaseRunner
-
-	// Routing state: the orchestrator's routing groups (route.go),
-	// reused across its repetitions, plus the cut plan (shared,
-	// read-only across orchestrators).
+	// run is the state's phase runner over the run's pool; it carries
+	// the run's canceller and the repetition being run (run.rep).
+	run         phaseRunner
 	routeGroups []routeGroup
-	cutBlocks   []int64
-	cutRems     []int64
 
-	// Observation scratch, allocated once per orchestrator and reused
-	// across its repetitions (all nil/empty when not requested).
-	cuts     []int64     // the reached cuts (shared, read-only)
+	// Observation scratch, reused across repetitions (nil when not
+	// requested).
 	prefix   [][]int64   // [cut][shard] routing prefixes → aligned cuts
 	cutBalls []int64     // realised balls per cut
 	track    [][]float64 // [cut][shard] shard-local running max at cut
-	cpMax    []float64   // combined whole-array max per cut
+	cutsDone []int       // [shard] cuts fully placed and tracked (cancellable runs)
 	hlCounts []int64     // bins at load >= k (HeightLevels)
 	shardMax []float64   // final shard-local max (ShardStats)
 }
 
-// newMonteRepState clones the (already reset) master array and builds
-// the orchestrator's shard views, placers and routing groups.
-// Zero-weight shards get neither view nor placer — the router can
-// never send a ball there, and building a placer over an all-zero
-// weight slice would fail. routeWidth is the number of routing groups
-// (min(workers, blocks)), and cutBlocks/cutRems the shared cut plan.
-func newMonteRepState(master *bins.Array, weights []float64, bounds []int, shardW []float64, factory protocol.Factory, cfg *LargeMonteConfig, cuts []int64, routeWidth int, cutBlocks, cutRems []int64, protoHist *bins.LoadHistogram) (*monteRepState, error) {
-	shards := len(shardW)
-	st := &monteRepState{
-		arr:         master.Clone(),
+// shardRand is one shard's placement generator, padded to two cache
+// lines: the state is rewritten on every draw, and the generators of
+// neighbouring shards would otherwise share a line across placement
+// workers (false sharing).
+type shardRand struct {
+	xrand.Rand
+	_ [128 - unsafe.Sizeof(xrand.Rand{})]byte
+}
+
+// newRepState builds a state over arr (reset, with the run's
+// capacities): shard views, routing groups and observation scratch.
+// Zero-weight shards get no view — the router can never send a ball
+// there, and a placer over an all-zero weight slice would fail to
+// build.
+func newRepState(c *repCore, arr *bins.Array) (*repState, error) {
+	shards, nc := len(c.shardW), len(c.cuts)
+	st := &repState{
+		c:           c,
+		arr:         arr,
 		views:       make([]*bins.Array, shards),
 		placers:     make([]protocol.Placer, shards),
-		rands:       make([]xrand.Rand, shards),
+		rands:       make([]shardRand, shards),
 		counts:      make([]int64, shards),
-		routeGroups: newRouteGroups(routeWidth, shards, len(cuts)),
-		cutBlocks:   cutBlocks,
-		cutRems:     cutRems,
-		cuts:        cuts,
+		routeGroups: newRouteGroups(c.rg, shards, nc),
 	}
-	if len(cuts) > 0 {
-		st.prefix = make([][]int64, len(cuts))
-		st.track = make([][]float64, len(cuts))
-		pflat := make([]int64, len(cuts)*shards)
-		tflat := make([]float64, len(cuts)*shards)
-		for k := range cuts {
+	st.run = phaseRunner{pool: &c.pool, cc: c.cc, engine: c.engine, names: repTaskNames, tasks: st}
+	if nc > 0 {
+		st.prefix = make([][]int64, nc)
+		st.track = make([][]float64, nc)
+		pflat := make([]int64, nc*shards)
+		tflat := make([]float64, nc*shards)
+		for k := range st.prefix {
 			st.prefix[k] = pflat[k*shards : (k+1)*shards]
 			st.track[k] = tflat[k*shards : (k+1)*shards]
 		}
-		st.cutBalls = make([]int64, len(cuts))
-		st.cpMax = make([]float64, len(cuts))
+		st.cutBalls = make([]int64, nc)
+		if c.cc != nil {
+			st.cutsDone = make([]int, shards)
+		}
 	}
-	if cfg.HeightLevels > 0 {
-		st.hlCounts = make([]int64, cfg.HeightLevels)
+	if c.levels > 0 {
+		st.hlCounts = make([]int64, c.levels)
 	}
-	if cfg.ShardStats {
+	if c.shardStats {
 		st.shardMax = make([]float64, shards)
 	}
+	if c.proto != nil {
+		st.histAll = *c.proto.CloneEmpty()
+		st.hists = c.proto.CloneEmpties(shards)
+	}
 	for s := 0; s < shards; s++ {
-		if shardW[s] <= 0 {
+		v, err := arr.Shard(c.bounds[s], c.bounds[s+1])
+		if err != nil {
+			return nil, fmt.Errorf("sim: %s shard %d: %w", c.engine, s, err)
+		}
+		if c.shardW[s] > 0 {
+			st.views[s] = v
+		}
+		if st.hists == nil {
 			continue
 		}
-		v, err := st.arr.Shard(bounds[s], bounds[s+1])
-		if err != nil {
-			return nil, fmt.Errorf("sim: RunLargeMonte shard %d: %w", s, err)
-		}
-		p, err := factory(v, weights[bounds[s]:bounds[s+1]])
-		if err != nil {
-			return nil, fmt.Errorf("sim: RunLargeMonte shard %d placer: %w", s, err)
-		}
-		st.views[s] = v
-		st.placers[s] = p
-	}
-	if protoHist != nil {
-		st.histAll = protoHist.CloneEmpty()
-		st.hists = make([]*bins.LoadHistogram, shards)
-		for s := 0; s < shards; s++ {
-			st.hists[s] = protoHist.CloneEmpty()
-			if st.views[s] != nil {
-				continue // rebuilt by the place phase every repetition
-			}
-			// Zero-weight shards are never routed to, reset or placed:
-			// their bins stay empty for the whole run, so one build at
-			// height zero stands for every repetition.
-			v, err := st.arr.Shard(bounds[s], bounds[s+1])
-			if err != nil {
-				return nil, fmt.Errorf("sim: RunLargeMonte shard %d: %w", s, err)
-			}
-			if err := v.HistogramInto(st.hists[s]); err != nil {
-				return nil, fmt.Errorf("sim: RunLargeMonte shard %d histogram: %w", s, err)
+		// A zero-weight shard is never routed to, reset or placed: its
+		// bins stay empty for the whole run, so one build at height
+		// zero stands for every repetition.
+		if st.views[s] == nil {
+			if err := v.HistogramInto(&st.hists[s]); err != nil {
+				return nil, fmt.Errorf("sim: %s shard %d histogram: %w", c.engine, s, err)
 			}
 		}
 	}
 	return st, nil
 }
 
-// Monte task kinds, one per phase of a repetition.
+// Task kinds, one per phase of a repetition.
 const (
-	monteRoute   = iota // route block group idx
-	monteReset          // reset shard idx's view
-	montePlace          // place shard idx
-	monteSummary        // whole-array summary
+	repRoute   = iota // route block group idx
+	repReset          // reset shard idx's view
+	repPlace          // place shard idx
+	repSummary        // whole-array summary
 )
 
-var monteTaskNames = []string{"route", "reset", "place", "summary"}
+var repTaskNames = []string{"route", "reset", "place", "summary"}
 
-// do is the orchestrator's task switch for its phase runner.
-// Per-repetition parameters (seed, stream base, ball count, router)
-// live on the repetition state, set by runRep before any task of that
-// repetition is submitted. Zero-weight shards (nil views) are skipped.
-func (st *monteRepState) do(kind, idx int) error {
+// do is the state's task switch for its phase runner.
+func (st *repState) do(kind, idx int) error {
 	switch kind {
-	case monteRoute:
+	case repRoute:
 		rg := &st.routeGroups[idx]
 		rg.reset()
-		rg.route(&st.run, st.rbase, st.router, st.m, idx, len(st.routeGroups), st.cutBlocks, st.cutRems)
-	case monteReset:
+		rg.route(&st.run, st.rbase, st.c.router, st.c.m, idx, len(st.routeGroups), st.c.cutBlocks, st.c.cutRems)
+	case repReset:
 		if st.views[idx] == nil {
 			return nil
 		}
 		if fault.Enabled {
-			fault.Hit(fault.Site{Engine: engRunLargeMC, Op: fault.OpReset, Rep: st.run.rep, Shard: idx, Block: -1})
+			fault.Hit(fault.Site{Engine: st.run.engine, Op: fault.OpReset, Rep: st.run.rep, Shard: idx, Block: -1})
 		}
 		st.views[idx].Reset()
-	case montePlace:
-		s := idx
-		// A zero-count shard normally needs no placement at all; with
-		// histograms on it still runs (draw-free) so its empty view
-		// refreshes st.hists[s] for the summary merge.
-		if st.views[s] == nil || (st.counts[s] == 0 && st.hists == nil) {
-			return nil
-		}
-		p := st.placers[s]
-		// Stateful placers (e.g. the batched protocol's round
-		// snapshot) must forget the previous repetition.
-		if rp, ok := p.(interface{ Reset() }); ok {
-			rp.Reset()
-		}
-		// Re-seeding the shard's reusable generator is NewStream
-		// without the allocation (pinned by the stream-contract
-		// tests).
-		rs := &st.rands[s]
-		rs.Seed(xrand.Mix64(st.seed, st.base+1+uint64(s)))
-		// The shared segment schedule (placeShardSegments) is what
-		// keeps repetition 0 bit-identical to a checkpointed
-		// RunLarge. Segmentation never moves a draw.
-		placeShardSegments(&st.run, p, st.views[s], rs, st.counts[s], s, st.prefix, st.track)
-		if st.hists != nil {
-			// The shard's one-pass histogram, rebuilt over its own view
-			// while other shards are still placing. A zero-count shard
-			// reaches here too (its segment schedule places nothing and
-			// consumes no draws) so its freshly reset view overwrites
-			// last repetition's rows.
-			if err := st.views[s].HistogramInto(st.hists[s]); err != nil {
-				return fmt.Errorf("sim: RunLargeMonte shard %d histogram: %w", s, err)
-			}
-		}
-		if st.shardMax != nil {
-			if st.hists != nil {
-				st.shardMax[s] = st.hists[s].MaxLoad()
-			} else {
-				st.shardMax[s] = st.views[s].MaxLoad()
-			}
-		}
-	case monteSummary:
-		if fault.Enabled {
-			fault.Hit(fault.Site{Engine: engRunLargeMC, Op: fault.OpSummary, Rep: st.run.rep, Shard: -1, Block: -1})
-		}
-		if st.hists != nil {
-			// Shard-order merge: exact integer addition, so the result
-			// is identical to one whole-array pass — and every final
-			// observable (max, average, heights, sorted loads) derives
-			// from the merged histogram without touching the bins again.
-			ha := st.histAll
-			ha.Reset()
-			for s := range st.hists {
-				if err := ha.Merge(st.hists[s]); err != nil {
-					return fmt.Errorf("sim: RunLargeMonte merge shard %d: %w", s, err)
-				}
-			}
-			st.max = ha.MaxLoad()
-			st.avg = float64(ha.Balls()) / float64(st.arr.TotalCapacity())
-			if st.hlCounts != nil {
-				ha.CountAtOrAbove(st.hlCounts)
-			}
-		} else {
-			st.arr.Recount()
-			st.max = st.arr.MaxLoad()
-			st.avg = st.arr.AverageLoad()
-		}
-		combineShardMaxima(st.track, st.cpMax)
+	case repPlace:
+		return st.place(idx)
+	case repSummary:
+		return st.summary()
 	}
 	return nil
 }
 
-// runRep executes one repetition through the shared pool in four
-// phases: route the blocks (substreams of stream base = rep·(shards+1),
-// fanned out across the orchestrator's routing groups, folded by the
-// orchestrator afterwards — exact integer sums, order-free); reset
-// every shard view; place every routed shard in parallel on stream
-// base+1+s; summarise the whole array (the only phase that may run
-// parent-array methods, which the bins.Shard contract forbids while
-// views mutate).
+// place runs shard s's game for the running repetition: its own view,
+// placer and stream base+1+s, placing exactly the balls routed to it.
+// Placement is segmented at the shard's block-aligned cuts
+// (prefix[k][s]), recording the shard-local running max into
+// track[k][s]. Segmenting PlaceBatch never moves a draw —
+// PlaceBatch(a)+PlaceBatch(b) consumes exactly the draws of
+// PlaceBatch(a+b) — so the final state is bit-identical with and
+// without checkpoints (pinned by tests).
+func (st *repState) place(s int) error {
+	v, count := st.views[s], st.counts[s]
+	done := len(st.prefix) // a shard without balls completes every cut
+	if v != nil && count > 0 {
+		p := st.placers[s]
+		if p == nil {
+			// First use: the placer build (alias tables, O(shard))
+			// runs here, in parallel with the other shards'.
+			var err error
+			if p, err = st.c.factory(v, st.c.weights[st.c.bounds[s]:st.c.bounds[s+1]]); err != nil {
+				return err
+			}
+			st.placers[s] = p
+		} else if rp, ok := p.(interface{ Reset() }); ok {
+			// Stateful placers (e.g. the batched protocol's round
+			// snapshot) must forget the previous repetition.
+			rp.Reset()
+		}
+		// Re-seeding the reusable generator is NewStream without the
+		// allocation (pinned by the stream-contract tests).
+		rs := &st.rands[s].Rand
+		rs.Seed(xrand.Mix64(st.c.seed, st.base+1+uint64(s)))
+		placed := int64(0)
+		for done = 0; done < len(st.prefix); done++ {
+			cut := st.prefix[done][s]
+			if !placeSegment(&st.run, s, p, v, rs, cut-placed) {
+				break
+			}
+			placed = cut
+			if cut > 0 {
+				st.track[done][s] = v.MaxLoad()
+			}
+		}
+		if done == len(st.prefix) {
+			placeSegment(&st.run, s, p, v, rs, count-placed)
+		}
+	}
+	if st.cutsDone != nil {
+		st.cutsDone[s] = done
+	}
+	if v == nil {
+		return nil
+	}
+	if st.hists != nil {
+		// The shard's one-pass histogram, rebuilt over its own view
+		// while other shards are still placing; a shard without balls
+		// rebuilds from its freshly reset view.
+		if err := v.HistogramInto(&st.hists[s]); err != nil {
+			return fmt.Errorf("histogram: %w", err)
+		}
+	}
+	if st.shardMax != nil {
+		if st.hists != nil {
+			st.shardMax[s] = st.hists[s].MaxLoad()
+		} else {
+			st.shardMax[s] = v.MaxLoad()
+		}
+	}
+	return nil
+}
+
+// summary is the repetition's whole-array summary — the only task
+// that may run parent-array methods, which the bins.Shard contract
+// forbids while views mutate.
+func (st *repState) summary() error {
+	if fault.Enabled {
+		fault.Hit(fault.Site{Engine: st.run.engine, Op: fault.OpSummary, Rep: st.run.rep, Shard: -1, Block: -1})
+	}
+	if st.hists == nil {
+		st.arr.Recount()
+		st.max = st.arr.MaxLoad()
+		st.avg = st.arr.AverageLoad()
+		return nil
+	}
+	// Shard-order merge: exact integer addition, so the result is
+	// identical to one whole-array pass — and every final observable
+	// (max, average, heights, sorted loads) derives from the merged
+	// histogram without touching the bins again.
+	ha := &st.histAll
+	ha.Reset()
+	for s := range st.hists {
+		if err := ha.Merge(&st.hists[s]); err != nil {
+			return fmt.Errorf("merge shard %d: %w", s, err)
+		}
+	}
+	st.max = ha.MaxLoad()
+	st.avg = float64(ha.Balls()) / float64(st.arr.TotalCapacity())
+	if st.hlCounts != nil {
+		ha.CountAtOrAbove(st.hlCounts)
+	}
+	return nil
+}
+
+// runRep runs repetition rep: route the blocks (substreams of stream
+// base = rep·(shards+1), fanned out across the state's routing groups
+// and merged afterwards — exact integer sums, order-free); reset the
+// shard views if an earlier repetition filled them; place every shard
+// in parallel on stream base+1+s; summarise the whole array.
 //
-// It returns errAbandoned when the repetition was abandoned because
-// the run's context fired (the state is then never read again — every
-// later repetition of this orchestrator is skipped too), and a task's
-// error when a pool task of this repetition failed.
-func (st *monteRepState) runRep(seed, rep uint64, shards int, m int64, router *sampling.Multinomial) error {
-	st.seed = seed
-	st.run.rep = int(rep)
-	st.base = rep * uint64(shards+1)
-	st.rbase = xrand.Mix64(seed, st.base)
-	st.m = m
-	st.router = router
-	if _, err := st.run.dispatch(monteRoute, len(st.routeGroups)); err != nil {
+// It returns errAbandoned when the run's context fired — the state
+// then holds a partial repetition: counts and cuts are valid once
+// routed is set, cutsDone says how far each shard got — and a wrapped
+// task error when a task failed.
+func (st *repState) runRep(rep int) error {
+	shards := len(st.views)
+	st.run.rep = rep
+	st.base = uint64(rep) * uint64(shards+1)
+	st.rbase = xrand.Mix64(st.c.seed, st.base)
+	st.routed = false
+	if err := st.run.runPhase(repRoute, len(st.routeGroups), "routing group"); err != nil {
 		return err
 	}
-	if _, err := st.run.dispatch(monteReset, shards); err != nil {
-		return err
-	}
-	// Folding the groups is O(groups·shards·cuts) — orchestrator-side
+	// Merging the groups is O(groups·shards·cuts) — orchestrator-side
 	// bookkeeping, not pool work.
 	mergeRouteGroups(st.routeGroups, st.counts, st.prefix)
-	if len(st.cuts) > 0 {
+	if len(st.prefix) > 0 {
 		obs.AlignShardCuts(st.prefix, protocol.BlockSize, st.cutBalls)
 	}
+	st.routed = true
+	if st.used {
+		if err := st.run.runPhase(repReset, shards, "reset shard"); err != nil {
+			return err
+		}
+	}
+	st.used = true
 	for k := range st.track {
 		clear(st.track[k])
 	}
+	clear(st.cutsDone)
 	clear(st.shardMax)
-
-	if _, err := st.run.dispatch(montePlace, shards); err != nil {
+	if err := st.run.runPhase(repPlace, shards, "shard"); err != nil {
 		return err
 	}
-	_, err := st.run.dispatch(monteSummary, 1)
-	return err
+	return st.run.runPhase(repSummary, 1, "summary")
+}
+
+// observeCuts records the repetition's first done cuts into cp, the
+// whole-array max at a cut being the max over the shard-local maxima.
+// A cut whose block-aligned realisation is empty saw no state at all;
+// it is skipped like a cut beyond m (visible through Reps), so zeros
+// never contaminate the maxima aggregates.
+func (st *repState) observeCuts(cp *obs.Checkpoints, done int) {
+	for k := 0; k < done; k++ {
+		if st.cutBalls[k] != 0 {
+			cp.Observe(k, st.cutBalls[k], st.arr.TotalCapacity(), slices.Max(st.track[k]))
+		}
+	}
 }
 
 // RunLargeMonte executes cfg.Reps repetitions of the sharded single-run
@@ -513,35 +591,17 @@ func RunLargeMonte(cfg LargeMonteConfig) (*LargeMonteResult, error) {
 	if cfg.CancelAfterReps < 0 {
 		return nil, fmt.Errorf("sim: RunLargeMonte CancelAfterReps = %d, need >= 0", cfg.CancelAfterReps)
 	}
-	cc := newCanceller(cfg.Context)
-
-	// The shard plan (boundaries, per-shard weights, routing table) is
-	// shared read-only across repetitions: AliasTable.Sample only reads
-	// the packed columns, so concurrent routing passes of different
-	// repetitions can use one router.
-	base, err := newDistBase(engRunLargeMC, cfg.Array, cfg.AdoptArray, cfg.Dist, cfg.Placer, shards, cfg.Workers)
+	// The run's plan (shard boundaries and weights, routing table, cut
+	// plan) is shared read-only across repetitions: AliasTable.Sample
+	// only reads the packed columns, so concurrent routing passes of
+	// different repetitions can use one router.
+	c, err := newRepCore(engRunLargeMC, &cfg, shards)
 	if err != nil {
 		return nil, err
 	}
-	master, workers := base.arr, base.workers
+	master, m := c.arr, c.m
 	n := master.N()
 	totalCap := master.TotalCapacity()
-	m := (&Config{Balls: cfg.Balls, BallsFactor: cfg.BallsFactor}).ballCount(totalCap)
-
-	allCuts, _ := obs.NormalizeCuts(cfg.Checkpoints) // validated above
-	cuts := allCuts[:obs.CountReached(allCuts, m)]
-	routeWidth := base.routeWidth(m)
-	cutBlocks, cutRems := cutPlan(cuts)
-
-	// One class skeleton for the whole run: every orchestrator's shard
-	// and whole-array histograms clone it, which is what makes shard
-	// merges exact (identical class set) and keeps CapacityClasses out
-	// of the per-repetition path. Max/avg-only runs skip histograms
-	// entirely and keep the direct exact scans.
-	var proto *bins.LoadHistogram
-	if cfg.CollectLoadVector || cfg.HeightLevels > 0 {
-		proto = master.NewLoadHistogram()
-	}
 
 	res := &LargeMonteResult{N: n, Shards: shards, Reps: cfg.Reps, Balls: m}
 	agg := &monteAgg{}
@@ -549,8 +609,8 @@ func RunLargeMonte(cfg LargeMonteConfig) (*LargeMonteResult, error) {
 	if cfg.CollectLoadVector {
 		agg.loads = obs.NewSortedLoads()
 	}
-	if len(allCuts) > 0 {
-		agg.cp = obs.NewCheckpoints(allCuts)
+	if len(c.allCuts) > 0 {
+		agg.cp = obs.NewCheckpoints(c.allCuts)
 	}
 	if cfg.HeightLevels > 0 {
 		agg.hl = obs.NewHeights(cfg.HeightLevels)
@@ -564,11 +624,11 @@ func RunLargeMonte(cfg LargeMonteConfig) (*LargeMonteResult, error) {
 	// checkpoint can actually be read (Resume) or written (a cancel
 	// source exists) — the plain path pays nothing.
 	var fp MonteFingerprint
-	if cfg.Resume != nil || cc != nil || cfg.CancelAfterReps > 0 {
+	if cfg.Resume != nil || c.cc != nil || cfg.CancelAfterReps > 0 {
 		fp = MonteFingerprint{
 			N: n, Shards: shards, Balls: m, Seed: cfg.Seed,
 			TotalCapacity: totalCap, CapHash: capHash(master),
-			Checkpoints: allCuts, HeightLevels: cfg.HeightLevels,
+			Checkpoints: c.allCuts, HeightLevels: cfg.HeightLevels,
 			CollectLoadVector: cfg.CollectLoadVector, ShardStats: cfg.ShardStats,
 		}
 	}
@@ -584,7 +644,7 @@ func RunLargeMonte(cfg LargeMonteConfig) (*LargeMonteResult, error) {
 	}
 	// planned is the last repetition the run intends to fold: Reps, or
 	// the deterministic self-cancel point. A real context cancellation
-	// lowers the realised prefix further through foldCancelled.
+	// lowers the realised prefix further through a cancelled fold.
 	planned := cfg.Reps
 	if cfg.CancelAfterReps > 0 && cfg.CancelAfterReps < planned {
 		planned = cfg.CancelAfterReps
@@ -594,20 +654,14 @@ func RunLargeMonte(cfg LargeMonteConfig) (*LargeMonteResult, error) {
 	}
 	agg.stopAt = planned
 	// Single-assignment copies for the orchestrator closures: captured
-	// by value, so the mutable variables above (planning state, proto
-	// histogram) never escape to the heap.
+	// by value, so the mutable planning variables above never escape
+	// to the heap.
 	start, stop := resumed, planned
-	protoHist := proto
-
-	inflight := workers
-	if remaining := cfg.Reps - start; inflight > remaining {
-		inflight = remaining
-	}
+	inflight := min(c.workers, cfg.Reps-start)
 
 	// The shared phase pool: every CPU-heavy task of every phase of
-	// every repetition runs here, so concurrency is exactly workers.
-	var pool phasePool
-	pool.start(workers)
+	// every repetition runs here, so concurrency never exceeds Workers.
+	c.pool.start(c.poolWidth(inflight))
 
 	var orchWG sync.WaitGroup
 	for w := 0; w < inflight; w++ {
@@ -623,10 +677,7 @@ func RunLargeMonte(cfg LargeMonteConfig) (*LargeMonteResult, error) {
 					agg.abort(newPanicError(engRunLargeMC, "orchestrator", -1, w, r))
 				}
 			}()
-			st, serr := newMonteRepState(master, base.weights, base.bounds, base.shardW, base.factory, &cfg, cuts, routeWidth, cutBlocks, cutRems, protoHist)
-			if serr == nil {
-				st.run = phaseRunner{pool: &pool, cc: cc, engine: engRunLargeMC, names: monteTaskNames, tasks: st}
-			}
+			st, serr := newRepState(c, master.Clone())
 			// One fold body per orchestrator, not per repetition: it
 			// snapshots whatever st holds when its repetition's turn
 			// comes, so hoisting it out of the loop only removes the
@@ -636,22 +687,13 @@ func RunLargeMonte(cfg LargeMonteConfig) (*LargeMonteResult, error) {
 				res.AvgLoad.Add(st.avg)
 				res.Deviation.Add(st.max - st.avg)
 				if ag.loads != nil {
-					if err := ag.loads.SnapshotHist(obs.Final, st.histAll, m); err != nil {
+					if err := ag.loads.SnapshotHist(obs.Final, &st.histAll, m); err != nil {
 						ag.err = err
 						return
 					}
 				}
 				if ag.cp != nil {
-					for k := range cuts {
-						// An empty block-aligned realisation means
-						// this repetition saw no state at the cut;
-						// skip it (like a cut beyond m) so zeros
-						// never contaminate the maxima aggregates.
-						if st.cutBalls[k] == 0 {
-							continue
-						}
-						ag.cp.Observe(k, st.cutBalls[k], totalCap, st.cpMax[k])
-					}
+					st.observeCuts(ag.cp, len(c.cuts))
 				}
 				if ag.hl != nil {
 					ag.hl.Observe(st.hlCounts)
@@ -663,7 +705,6 @@ func RunLargeMonte(cfg LargeMonteConfig) (*LargeMonteResult, error) {
 					}
 				}
 			}
-			skip := func(*monteAgg) {}
 			// Static strided assignment: orchestrator w owns reps
 			// start+w, start+w+inflight, … — processed in increasing
 			// order, which the in-order fold relies on for progress.
@@ -671,24 +712,21 @@ func RunLargeMonte(cfg LargeMonteConfig) (*LargeMonteResult, error) {
 				if fault.Enabled {
 					fault.Hit(fault.Site{Engine: engRunLargeMC, Op: fault.OpOrchestrator, Rep: rep, Shard: -1, Block: -1})
 				}
-				if serr != nil {
-					err := serr
-					agg.fold(rep, func(ag *monteAgg) { ag.err = err })
-					continue
+				var rerr error
+				switch {
+				case serr != nil:
+					rerr = serr
+				case rep >= stop:
+					rerr = errAbandoned
+				case !agg.failed():
+					rerr = st.runRep(rep)
 				}
-				if rep >= stop {
-					agg.foldCancelled(rep)
-					continue
-				}
-				if agg.failed() {
-					agg.fold(rep, skip)
-					continue
-				}
-				switch rerr := st.runRep(cfg.Seed, uint64(rep), shards, m, base.router); rerr {
+				switch rerr {
 				case nil:
+					// A no-op fold once an earlier repetition failed.
 					agg.fold(rep, foldRep)
 				case errAbandoned:
-					agg.foldCancelled(rep)
+					agg.fold(rep, nil)
 				default:
 					agg.fold(rep, func(ag *monteAgg) { ag.err = rerr })
 				}
@@ -696,7 +734,7 @@ func RunLargeMonte(cfg LargeMonteConfig) (*LargeMonteResult, error) {
 		}(w)
 	}
 	orchWG.Wait()
-	pool.stop()
+	c.pool.stop()
 
 	if agg.err != nil {
 		return nil, agg.err
@@ -724,7 +762,7 @@ func RunLargeMonte(cfg LargeMonteConfig) (*LargeMonteResult, error) {
 			CompletedRounds: -1,
 			CompletedTicks:  -1,
 			Checkpoint:      captureMonteCheckpoint(fp, completed, res, agg),
-			Cause:           cc.err(),
+			Cause:           c.cc.err(),
 		}
 	}
 	return res, nil

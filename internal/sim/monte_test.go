@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/bins"
@@ -62,6 +64,33 @@ func TestRunLargeMonteRepZeroMatchesRunLarge(t *testing.T) {
 				got.AvgLoad.Mean(), want.AvgLoad,
 				got.Deviation.Mean(), want.Deviation)
 		}
+	}
+}
+
+// TestRunLargeMontePoolIsCapped: the phase pool starts no more workers
+// than the in-flight repetitions' widest phase can keep busy — here
+// two shards and one routing block — however large Workers is.
+func TestRunLargeMontePoolIsCapped(t *testing.T) {
+	a := largeArray(t, 200)
+	before := int64(runtime.NumGoroutine())
+	var peak atomic.Int64
+	factory := hookedFactory(func(int64) {
+		g := int64(runtime.NumGoroutine())
+		for p := peak.Load(); g > p; p = peak.Load() {
+			if peak.CompareAndSwap(p, g) {
+				return
+			}
+		}
+	})
+	_, err := RunLargeMonte(LargeMonteConfig{
+		LargeConfig: LargeConfig{Array: a, Seed: 1, Shards: 2, Workers: 64, Placer: factory},
+		Reps:        1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rise := peak.Load() - before; rise > 8 {
+		t.Fatalf("%d goroutines alive during placement, %d before the call: the pool ignores the useful width", peak.Load(), before)
 	}
 }
 

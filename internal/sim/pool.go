@@ -10,9 +10,13 @@
 // phase barrier. Tasks travel through the pool's channel as plain
 // {runner, kind, idx} values, so dispatching a phase allocates nothing.
 //
-// Several runners may share one pool: RunLargeMonte gives every
-// repetition orchestrator its own runner over one set of workers, so
-// total CPU concurrency never exceeds the pool size.
+// RunLarge and RunLargeMonte run on one per-repetition core
+// (monte.go): a repetition's state carries its runner. RunLarge runs
+// repetition 0 on one state; RunLargeMonte gives every repetition
+// orchestrator its own state, and so its own runner, over one shared
+// set of workers, so total CPU concurrency never exceeds the pool
+// size. Every engine sizes its pool to what its phases can keep busy,
+// never above Workers.
 //
 // Every task runs behind its own recover: a panic becomes a
 // *PanicError{engine, task name, rep, index}, the worker keeps
@@ -32,6 +36,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/bins"
@@ -255,9 +260,7 @@ func (c *roundCuts) observe(run *phaseRunner, kind, r int, balls, totalCap int64
 	if err := run.runPhase(kind, len(c.row), "observe shard"); err != nil {
 		return err
 	}
-	var max [1]float64
-	combineShardMaxima([][]float64{c.row}, max[:])
-	c.cp.Observe(c.next, balls, totalCap, max[0])
+	c.cp.Observe(c.next, balls, totalCap, slices.Max(c.row))
 	c.next++
 	return nil
 }

@@ -44,12 +44,14 @@ export GOMAXPROCS="$GOMAXPROCS_V"
 TOPO="{\"goos\": \"${GOOS_V}\", \"goarch\": \"${GOARCH_V}\", \"num_cpu\": ${NUM_CPU}, \"gomaxprocs\": ${GOMAXPROCS_V}}"
 
 # BenchmarkRouteBalls* (old per-ball routing vs the block-wise
-# multinomial pass) lives in internal/sim and the observation-kernel
+# multinomial pass) lives in internal/sim, the observation-kernel
 # suite (BenchmarkObsSnapshot*, scan-vs-histogram at n=10⁶/64 shards)
-# in internal/obs, so the suite spans three packages; the awk emitter
-# below keys on benchmark lines only and is package-agnostic.
-go test -run '^$' -bench 'BenchmarkPlace|BenchmarkSimulateSmall|BenchmarkSimulateLargeCheckpoints|BenchmarkRunLargeSharded|BenchmarkRunLargeMonte|BenchmarkRunStream|BenchmarkClusterTick|BenchmarkRouteBalls|BenchmarkObsSnapshot' \
-	-benchmem -benchtime "$BENCHTIME" -count 1 . ./internal/sim ./internal/obs | tee "$RAW"
+# in internal/obs and the serving ring's build and churn
+# (BenchmarkRing*) in internal/chash, so the suite spans four
+# packages; the awk emitter below keys on benchmark lines only and is
+# package-agnostic.
+go test -run '^$' -bench 'BenchmarkPlace|BenchmarkSimulateSmall|BenchmarkSimulateLargeCheckpoints|BenchmarkRunLargeSharded|BenchmarkRunLargeMonte|BenchmarkRunStream|BenchmarkClusterTick|BenchmarkRouteBalls|BenchmarkObsSnapshot|BenchmarkRing' \
+	-benchmem -benchtime "$BENCHTIME" -count 1 . ./internal/sim ./internal/obs ./internal/chash | tee "$RAW"
 
 awk -v topo="$TOPO" '
 # jnum renders a benchmark metric as a JSON value: the number itself,
